@@ -16,7 +16,7 @@ import numpy as np
 
 from .cbd import CbdFit
 from .design import KernelParams, build_design
-from .mixed import MixedFit, _posterior, stack_grid, unstack_vector
+from .mixed import MixedFit, _Evaluation, _posterior, stack_grid, unstack_vector
 
 SCHEMA_VERSION = 1
 
@@ -102,7 +102,7 @@ def _dict_to_mixed(doc: dict) -> MixedFit:
     params = KernelParams(**doc["params"])
     y = stack_grid(np.asarray(doc["y"], dtype=float))
     policy = doc.get("beta_cov_policy", "scaled")
-    fixed, random = _posterior(y, params, design, policy)
+    fixed, random = _posterior(_Evaluation(y, params, design), policy)
     return MixedFit(
         params=params,
         fixed=fixed,

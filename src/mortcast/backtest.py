@@ -20,8 +20,20 @@ from . import cbd as cbd_mod
 from . import mixed as mixed_mod
 from .data import MortalitySurface
 from .design import build_design
+from .errors import MortcastError
 
 MODELS = ("mixed", "cbd")
+
+#: what a window's fit or forecast may raise and still count as an excluded
+#: window; anything else (TypeError, AttributeError, ...) is a programming
+#: error and propagates
+_MODEL_ERRORS = (
+    MortcastError,
+    np.linalg.LinAlgError,
+    ValueError,
+    FloatingPointError,
+    RuntimeError,
+)
 
 
 def rmse_curve(pred, actual) -> float:
@@ -140,7 +152,7 @@ def _run_window(surface, deaths, exposures, plan, model, horizon, window, t_l):
             drift = cbd_mod.estimate_rw(fit, divisor=plan.rw_divisor)
             fc = cbd_mod.forecast_cbd(fit, drift, horizon)
         pred, _ = fc.year_slice(int(target_year))
-    except Exception as exc:  # fit failures are reported, not fatal
+    except _MODEL_ERRORS as exc:  # fit failures are reported, not fatal
         return WindowResult(
             model=model,
             horizon=horizon,

@@ -21,7 +21,6 @@ import numpy as np
 import scipy.special
 
 from .data import initial_to_central
-from .errors import FactorizationError
 from .forecasts import Forecast
 
 #: cohorts observed in fewer cells than this are dropped from the fit
@@ -56,13 +55,13 @@ class CbdFit:
 class RwDrift:
     """Random-walk-with-drift estimates for the CBD parameter series.
 
-    ``V = K' K`` with ``K`` upper triangular; ``mu`` and ``var_dgamma`` are
-    the drift and difference variance of the cohort series.
+    ``d`` and ``V`` are the drift and difference covariance of
+    (kappa1, kappa2); ``mu`` and ``var_dgamma`` are the drift and
+    difference variance of the cohort series.
     """
 
     d: np.ndarray
     V: np.ndarray
-    K: np.ndarray
     mu: float
     var_dgamma: float
     divisor: str = "n"
@@ -119,11 +118,16 @@ def cbd_poisson_loglik(
     eta = linear_predictor(kappa1, kappa2, gamma3, ages, years)
     if not np.all(np.isfinite(eta)):
         raise ValueError("non-finite linear predictor")
-    mu = E * death_rate(eta)
-    terms = scipy.special.xlogy(D, mu) - mu - scipy.special.gammaln(D + 1.0)
-    if weights is not None:
-        terms = terms * weights
-    return float(np.sum(terms))
+    w = 1.0 if weights is None else np.asarray(weights, dtype=float)
+    log_factorials = np.sum(w * scipy.special.gammaln(D + 1.0))
+    return _poisson_loglik(eta, w * D, w * E, log_factorials)
+
+
+def _poisson_loglik(eta, wD, wE, log_factorials) -> float:
+    """Weighted Poisson log-likelihood from weighted counts and exposures;
+    ``log_factorials`` is the weighted sum of log(D!), constant per fit."""
+    mu = wE * death_rate(eta)
+    return float(np.sum(scipy.special.xlogy(wD, mu) - mu) - log_factorials)
 
 
 def transform_parameters(kappa1, kappa2, gamma3, phi1, phi2, ages, years):
@@ -234,12 +238,10 @@ def fit_cbd(
     def eta_of(k1, k2, g3):
         return k1[:, None] + k2[:, None] * xw[None, :] + g3[cols]
 
+    log_factorials = np.sum(w * scipy.special.gammaln(D + 1.0))
+
     def ll_of(eta):
-        mu = wE * death_rate(eta)
-        return float(
-            np.sum(scipy.special.xlogy(wD, mu) - mu)
-            - np.sum(w * scipy.special.gammaln(D + 1.0))
-        )
+        return _poisson_loglik(eta, wD, wE, log_factorials)
 
     _apply_constraints(kappa1, kappa2, gamma3, included, cohorts, ages, years)
     ll = ll_of(eta_of(kappa1, kappa2, gamma3))
@@ -332,21 +334,6 @@ def fitted_logit(fit: CbdFit) -> np.ndarray:
     )
 
 
-def _chol_upper(V):
-    try:
-        return np.linalg.cholesky(V).T, V
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-12 * max(1.0, float(np.mean(np.diag(V))))
-    Vj = V + jitter * np.eye(V.shape[0])
-    try:
-        return np.linalg.cholesky(Vj).T, Vj
-    except np.linalg.LinAlgError:
-        raise FactorizationError(
-            "difference covariance not positive semi-definite"
-        ) from None
-
-
 def estimate_rw(fit: CbdFit, divisor: str = "n") -> RwDrift:
     """Random-walk-with-drift estimates from the fitted parameter series.
 
@@ -365,7 +352,6 @@ def estimate_rw(fit: CbdFit, divisor: str = "n") -> RwDrift:
     centered = dk - d
     denom = dk.shape[0] if divisor == "n" else dk.shape[0] - 1
     V = (centered.T @ centered) / denom
-    K, _ = _chol_upper(V)
 
     g = fit.gamma3[fit.included]
     if g.size < 2:
@@ -374,7 +360,7 @@ def estimate_rw(fit: CbdFit, divisor: str = "n") -> RwDrift:
     mu = float(dg.mean())
     gden = dg.size if divisor == "n" else max(dg.size - 1, 1)
     var_dgamma = float(np.sum((dg - mu) ** 2) / gden)
-    return RwDrift(d=d, V=V, K=K, mu=mu, var_dgamma=var_dgamma, divisor=divisor)
+    return RwDrift(d=d, V=V, mu=mu, var_dgamma=var_dgamma, divisor=divisor)
 
 
 def forecast_cbd(
@@ -391,43 +377,34 @@ def forecast_cbd(
     """
     if horizon < 1:
         raise ValueError("forecast horizon must be >= 1")
-    n, m = fit.years.size, fit.ages.size
-    years_all = np.arange(fit.years[0], fit.years[-1] + horizon + 1)
-    mean = np.empty((n + horizon, m))
-    var = np.zeros((n + horizon, m))
-    mean[:n] = fitted_logit(fit)
+    steps = np.arange(1, horizon + 1)
+    years_fc = fit.years[-1] + steps
+    years_all = np.concatenate([fit.years, years_fc])
 
-    last_fitted_cohort = int(fit.cohorts[fit.included][-1])
+    # cohort axis extended to the youngest forecast cohort
+    last_fitted = int(fit.cohorts[fit.included][-1])
     gamma_base = float(fit.gamma3[fit.included][-1])
-    xw = fit.ages - fit.x_bar
+    cohorts = np.arange(fit.cohorts[0], fit.cohorts[-1] + horizon + 1)
+    ahead = np.maximum(cohorts - last_fitted, 0)
+    fitted = np.append(fit.gamma3, np.zeros(horizon))
+    gamma = np.where(ahead > 0, gamma_base + ahead * drift.mu, fitted)
 
-    def gamma_at(c: int) -> tuple[float, int]:
-        """Cohort value and number of extrapolated steps for label c."""
-        if c <= last_fitted_cohort:
-            idx = c - int(fit.cohorts[0])
-            if idx < 0:
-                raise ValueError(f"cohort {c} predates the fitted axis")
-            return float(fit.gamma3[idx]), 0
-        steps = c - last_fitted_cohort
-        return gamma_base + steps * drift.mu, steps
+    kappa1 = float(fit.kappa1[-1]) + steps * drift.d[0]
+    kappa2 = float(fit.kappa2[-1]) + steps * drift.d[1]
+    mean_fc = linear_predictor(kappa1, kappa2, gamma, fit.ages, years_fc, cohorts)
 
-    for k in range(1, horizon + 1):
-        t = int(fit.years[-1]) + k
-        k1 = float(fit.kappa1[-1]) + k * drift.d[0]
-        k2 = float(fit.kappa2[-1]) + k * drift.d[1]
-        Vk = k * drift.V
-        for j, x in enumerate(fit.ages):
-            g, steps = gamma_at(t - int(x))
-            mean[n + k - 1, j] = k1 + k2 * xw[j] + g
-            load = np.array([1.0, xw[j]])
-            var[n + k - 1, j] = float(load @ Vk @ load) + steps * drift.var_dgamma
+    load = np.column_stack([np.ones(fit.ages.size), fit.ages - fit.x_bar])
+    kappa_var = np.einsum("ja,ab,jb->j", load, drift.V, load)
+    cohort_steps = ahead[_cohort_cols(fit.ages, years_fc, cohorts)]
+    var_fc = steps[:, None] * kappa_var[None, :] + cohort_steps * drift.var_dgamma
 
+    in_sample = fitted_logit(fit)
     return Forecast(
         ages=fit.ages,
         years=years_all,
         horizon=horizon,
-        mean=mean,
-        variance=var,
+        mean=np.vstack([in_sample, mean_fc]),
+        variance=np.vstack([np.zeros_like(in_sample), var_fc]),
     )
 
 

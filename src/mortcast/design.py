@@ -10,6 +10,7 @@ from years[0] - ages[-1] to years[-1] - ages[0].
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,11 @@ import scipy.linalg
 
 from .errors import FactorizationError
 
-ROW_ORDER = "age-major"
-
 #: Diagonal inflation applied once, relative to mean(diag(V)), when a
 #: positive-definiteness factorization fails; a second failure is fatal.
 JITTER_REL = 1e-8
+
+_log = logging.getLogger("mortcast")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,6 @@ class DesignSet:
     row_age: np.ndarray
     row_year: np.ndarray
     row_cohort: np.ndarray
-    row_order: str = ROW_ORDER
 
     @property
     def n_train(self) -> int:
@@ -222,8 +222,8 @@ def assemble_V(params: KernelParams, design: DesignSet) -> np.ndarray:
     """Marginal covariance V = Z1 K1 Z1' + Z2 K2 Z2' + Z3 K3 Z3' + sigma2 I.
 
     The returned matrix is exact (no jitter); positive definiteness is
-    verified via the shared jitter policy and failure raises
-    ``FactorizationError``.
+    verified via the shared jitter policy (a jittered check is logged) and
+    failure raises ``FactorizationError``.
     """
     if design.horizon != 0:
         raise ValueError("assemble_V expects a training design (horizon 0)")
@@ -253,7 +253,9 @@ def cholesky_with_jitter(V: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of V, adding one round of diagonal jitter if needed.
 
     Returns (L, jitter) where jitter is 0.0 or the amount added to the
-    diagonal. A second factorization failure raises ``FactorizationError``.
+    diagonal; a nonzero jitter is logged as a warning on the ``mortcast``
+    logger, since the factor is then that of a different matrix. A second
+    factorization failure raises ``FactorizationError``.
     """
     try:
         return scipy.linalg.cholesky(V, lower=True, check_finite=False), 0.0
@@ -262,8 +264,13 @@ def cholesky_with_jitter(V: np.ndarray) -> tuple[np.ndarray, float]:
     jitter = JITTER_REL * float(np.mean(np.diag(V)))
     Vj = V + jitter * np.eye(V.shape[0])
     try:
-        return scipy.linalg.cholesky(Vj, lower=True, check_finite=False), jitter
+        L = scipy.linalg.cholesky(Vj, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError:
         raise FactorizationError(
             "covariance not positive definite even after jitter"
         ) from None
+    _log.warning(
+        "covariance factorization needed jitter %.6g on the diagonal (N = %d)",
+        jitter, V.shape[0],
+    )
+    return L, jitter

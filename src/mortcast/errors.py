@@ -40,7 +40,3 @@ class NonFiniteLogitError(MortcastError):
 
 class FactorizationError(MortcastError):
     """A covariance matrix failed its positive-definite factorization even after jitter."""
-
-
-class NonConvergenceError(MortcastError):
-    """Iterative fitting did not reach its convergence criterion."""

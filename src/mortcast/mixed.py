@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -114,13 +115,85 @@ def _as_stacked(y, design: DesignSet) -> np.ndarray:
     return y
 
 
-def _factor_V(params: KernelParams, design: DesignSet):
-    """(cho, logdet, kernels) for V(params) on a training design."""
-    K1, K2, K3 = build_covariances(params, design)
-    V = _assemble_V_from_kernels(params.sigma2, design, K1, K2, K3)
-    L, _ = cholesky_with_jitter(V)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return (L, True), logdet, (K1, K2, K3)
+class _Evaluation:
+    """V(params) factored once and solved against [T | y | Z1 | Z2 | Z3].
+
+    Every mixed-model quantity reads from this one factor-and-solve: the
+    log-determinant, the GLS beta, a(beta) = V^-1 (y - T beta), the
+    Z_k' V^-1 Z_k and Z_k' V^-1 a blocks, and tr(V^-1) when a gradient asks
+    for it. V is dropped once factored; only its Cholesky factor is kept,
+    and V is never inverted explicitly.
+    """
+
+    def __init__(self, y, params: KernelParams, design: DesignSet):
+        self.y = y
+        self.params = params
+        self.design = design
+        self.kernels = build_covariances(params, design)
+        V = _assemble_V_from_kernels(params.sigma2, design, *self.kernels)
+        self.L, _ = cholesky_with_jitter(V)
+        del V
+        self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.L))))
+        rhs = np.column_stack([design.T, y, design.Z1, design.Z2, design.Z3])
+        S = scipy.linalg.cho_solve((self.L, True), rhs, check_finite=False)
+        m = design.n_ages
+        self.ViT, self.Viy = S[:, :2], S[:, 2]
+        self.ViZ = (S[:, 3 : 3 + m], S[:, 3 + m : 3 + 2 * m], S[:, 3 + 2 * m :])
+
+    def a(self, beta) -> np.ndarray:
+        """V^-1 (y - T beta)."""
+        return self.Viy - self.ViT @ beta
+
+    def loglik(self, beta) -> float:
+        """Gaussian log-density of y under N(T beta, V)."""
+        r = self.y - self.design.T @ beta
+        quad = float(r @ self.a(beta))
+        return -0.5 * self.logdet - 0.5 * quad - 0.5 * self.y.size * LOG2PI
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        """T' V^-1 T."""
+        return self.design.T.T @ self.ViT
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        """GLS beta = (T' V^-1 T)^-1 T' V^-1 y."""
+        G = self.G
+        # 2x2 normal matrix; exact singularity only with a single distinct year
+        if abs(np.linalg.det(G)) <= 1e-14 * (abs(G[0, 0] * G[1, 1]) + 1e-300):
+            raise np.linalg.LinAlgError("collinear fixed-effects design (single year?)")
+        return np.linalg.solve(G, self.design.T.T @ self.Viy)
+
+    @cached_property
+    def ll(self) -> float:
+        """Profile log-likelihood: the log-likelihood at the GLS beta."""
+        return self.loglik(self.beta)
+
+    def blocks(self, a):
+        """(Z_k' V^-1 Z_k, Z_k' a) for the three random effects."""
+        d = self.design
+        return [(Z.T @ B, Z.T @ a) for Z, B in zip((d.Z1, d.Z2, d.Z3), self.ViZ)]
+
+    def gradient(self, beta) -> np.ndarray:
+        """Gradient of :meth:`loglik` in the order [h1, l1, h2, l2, c, s, sigma2]."""
+        p, d = self.params, self.design
+        a = self.a(beta)
+        ages = d.ages.astype(float)
+        dx2 = (ages[:, None] - ages[None, :]) ** 2
+        coh = d.cohort_index.astype(float)
+        dc2 = (coh[:, None] - coh[None, :]) ** 2
+
+        g = np.empty(7)
+        for slot, ((W, b), K, d2, amp, length) in enumerate(
+            zip(self.blocks(a), self.kernels, (dx2, dx2, dc2), (p.h1, p.h2, p.c),
+                (p.l1, p.l2, p.s))
+        ):
+            dKa, dKl = _kernel_partials(K, d2, amp, length)
+            g[2 * slot] = -0.5 * float(np.sum(W * dKa)) + 0.5 * float(b @ dKa @ b)
+            g[2 * slot + 1] = -0.5 * float(np.sum(W * dKl)) + 0.5 * float(b @ dKl @ b)
+
+        g[6] = -0.5 * _trace_inverse(self.L) + 0.5 * float(a @ a)
+        return g
 
 
 def log_likelihood(y, beta, params: KernelParams, design: DesignSet) -> float:
@@ -131,30 +204,12 @@ def log_likelihood(y, beta, params: KernelParams, design: DesignSet) -> float:
     explicitly.
     """
     y = _as_stacked(y, design)
-    beta = np.asarray(beta, dtype=float)
-    cho, logdet, _ = _factor_V(params, design)
-    r = y - design.T @ beta
-    quad = float(r @ scipy.linalg.cho_solve(cho, r, check_finite=False))
-    return -0.5 * logdet - 0.5 * quad - 0.5 * y.size * LOG2PI
+    return _Evaluation(y, params, design).loglik(np.asarray(beta, dtype=float))
 
 
 def gls_beta(y, params: KernelParams, design: DesignSet) -> np.ndarray:
     """Closed-form maximizer beta = (T' V^-1 T)^-1 T' V^-1 Y."""
-    y = _as_stacked(y, design)
-    cho, _, _ = _factor_V(params, design)
-    return _gls_from_cho(y, design.T, cho)[0]
-
-
-def _gls_from_cho(y, T, cho):
-    S = scipy.linalg.cho_solve(cho, np.column_stack([T, y]), check_finite=False)
-    ViT, Viy = S[:, :2], S[:, 2]
-    G = T.T @ ViT
-    # 2x2 normal matrix; exact singularity only with a single distinct year
-    if abs(np.linalg.det(G)) <= 1e-14 * (abs(G[0, 0] * G[1, 1]) + 1e-300):
-        raise np.linalg.LinAlgError("collinear fixed-effects design (single year?)")
-    beta = np.linalg.solve(G, T.T @ Viy)
-    a = Viy - ViT @ beta  # V^-1 (y - T beta)
-    return beta, a, G, ViT
+    return _Evaluation(_as_stacked(y, design), params, design).beta
 
 
 def _kernel_partials(K, dist2, amplitude, length):
@@ -185,101 +240,34 @@ def grad_loglik(y, beta, params: KernelParams, design: DesignSet) -> np.ndarray:
     dV/dsigma2 = I.
     """
     y = _as_stacked(y, design)
-    beta = np.asarray(beta, dtype=float)
-    cho, _, kernels = _factor_V(params, design)
-    r = y - design.T @ beta
-    rhs = np.column_stack([r, design.Z1, design.Z2, design.Z3])
-    S = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-    m = design.n_ages
-    a = S[:, 0]
-    solved_Z = (S[:, 1 : 1 + m], S[:, 1 + m : 1 + 2 * m], S[:, 1 + 2 * m :])
-    return _grad_from_solves(params, design, kernels, cho[0], a, solved_Z)
-
-
-def _grad_from_solves(params, design, kernels, L, a, solved_Z):
-    """Gradient given V's factor, a = V^-1 r and the solves V^-1 [Z1 Z2 Z3]."""
-    K1, K2, K3 = kernels
-    B1, B2, B3 = solved_Z
-    ages = design.ages.astype(float)
-    dx2 = (ages[:, None] - ages[None, :]) ** 2
-    coh = design.cohort_index.astype(float)
-    dc2 = (coh[:, None] - coh[None, :]) ** 2
-
-    g = np.empty(7)
-    for slot, (Z, B, K, d2, amp, length) in enumerate(
-        [
-            (design.Z1, B1, K1, dx2, params.h1, params.l1),
-            (design.Z2, B2, K2, dx2, params.h2, params.l2),
-            (design.Z3, B3, K3, dc2, params.c, params.s),
-        ]
-    ):
-        W = Z.T @ B  # Z' V^-1 Z
-        b = Z.T @ a
-        dKa, dKl = _kernel_partials(K, d2, amp, length)
-        g[2 * slot] = -0.5 * float(np.sum(W * dKa)) + 0.5 * float(b @ dKa @ b)
-        g[2 * slot + 1] = -0.5 * float(np.sum(W * dKl)) + 0.5 * float(b @ dKl @ b)
-
-    g[6] = -0.5 * _trace_inverse(L) + 0.5 * float(a @ a)
-    return g
+    return _Evaluation(y, params, design).gradient(np.asarray(beta, dtype=float))
 
 
 class _ProfileObjective:
     """Profile log-likelihood (beta solved exactly) over log parameters.
 
     A boolean ``free`` mask selects which of the 7 log parameters are
-    optimized; the rest stay at their initial values. One Cholesky solve
-    against the fixed block [T | y | Z1 | Z2 | Z3] per evaluation serves
-    both the likelihood and the gradient.
+    optimized; the rest stay at their initial values. Each evaluation is
+    one :class:`_Evaluation`, which serves the likelihood, the gradient
+    and, for the winning one, the posterior.
     """
 
     def __init__(self, y, design, free):
         self.y = y
         self.design = design
         self.free = free
-        self.rhs = np.column_stack([design.T, y, design.Z1, design.Z2, design.Z3])
 
-    def evaluate(self, u_full):
-        """LL, GLS beta and reusable solver state at exp(u_full)."""
-        d = self.design
+    def evaluate(self, u_full) -> _Evaluation:
         params = KernelParams.from_array(np.exp(u_full))
-        cho, logdet, kernels = _factor_V(params, d)
-        S = scipy.linalg.cho_solve(cho, self.rhs, check_finite=False)
-        ViT, Viy = S[:, :2], S[:, 2]
-        G = d.T.T @ ViT
-        if abs(np.linalg.det(G)) <= 1e-14 * (abs(G[0, 0] * G[1, 1]) + 1e-300):
-            raise np.linalg.LinAlgError("collinear fixed-effects design")
-        beta = np.linalg.solve(G, d.T.T @ Viy)
-        a = Viy - ViT @ beta  # V^-1 (y - T beta)
-        r = self.y - d.T @ beta
-        ll = -0.5 * logdet - 0.5 * float(r @ a) - 0.5 * self.y.size * LOG2PI
-        m = d.n_ages
-        solved_Z = (S[:, 3 : 3 + m], S[:, 3 + m : 3 + 2 * m], S[:, 3 + 2 * m :])
-        return {
-            "u": u_full.copy(),
-            "params": params,
-            "L": cho[0],
-            "beta": beta,
-            "a": a,
-            "kernels": kernels,
-            "solved_Z": solved_Z,
-            "ll": ll,
-        }
+        return _Evaluation(self.y, params, self.design)
 
-    def gradient(self, state):
+    def gradient(self, ev: _Evaluation):
         """Gradient of the profile LL wrt the free log parameters.
 
         beta is at its exact optimum, so the profile gradient equals the
         partial gradient there (envelope argument).
         """
-        g_theta = _grad_from_solves(
-            state["params"],
-            self.design,
-            state["kernels"],
-            state["L"],
-            state["a"],
-            state["solved_Z"],
-        )
-        g_u = state["params"].as_array() * g_theta
+        g_u = ev.params.as_array() * ev.gradient(ev.beta)
         return g_u[self.free]
 
 
@@ -292,10 +280,10 @@ def _bfgs_ascent(objective, u0, free, tol, max_iter):
     """
     u = np.clip(u0, -_LOG_BOUND, _LOG_BOUND)
     state = objective.evaluate(u)
-    if not np.isfinite(state["ll"]):
+    if not np.isfinite(state.ll):
         raise ValueError("non-finite log-likelihood at the initial parameters")
     g = objective.gradient(state)
-    trace = [state["ll"]]
+    trace = [state.ll]
     nfree = int(np.sum(free))
     H = np.eye(nfree)
     converged = False
@@ -323,23 +311,24 @@ def _bfgs_ascent(objective, u0, free, tol, max_iter):
             u_try[free] = np.clip(u[free] + alpha * d, -_LOG_BOUND, _LOG_BOUND)
             try:
                 cand = objective.evaluate(u_try)
+                finite = np.isfinite(cand.ll)
             except (FactorizationError, np.linalg.LinAlgError):
-                cand = None
-            if cand is not None and np.isfinite(cand["ll"]):
-                sufficient = -cand["ll"] <= -state["ll"] + 1e-4 * alpha * slope
+                finite = False
+            if finite:
+                sufficient = -cand.ll <= -state.ll + 1e-4 * alpha * slope
                 # strict improvement required: deep backtracking must not
                 # accept zero-progress steps once the Armijo term underflows
-                if sufficient and cand["ll"] > state["ll"]:
+                if sufficient and cand.ll > state.ll:
                     accepted = True
                     break
             alpha *= 0.5
         if not accepted:
             # stalled: converged if the gradient is already negligible
-            converged = float(np.max(np.abs(g))) <= 1e-5 * (1.0 + abs(state["ll"]))
+            converged = float(np.max(np.abs(g))) <= 1e-5 * (1.0 + abs(state.ll))
             break
 
         g_new = objective.gradient(cand)
-        s = cand["u"][free] - u[free]
+        s = u_try[free] - u[free]
         y_diff = (-g_new) - gf
         sy = float(s @ y_diff)
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y_diff) + 1e-300):
@@ -350,13 +339,13 @@ def _bfgs_ascent(objective, u0, free, tol, max_iter):
             A = I - rho * np.outer(s, y_diff)
             H = A @ H @ A.T + rho * np.outer(s, s)
 
-        dll = cand["ll"] - state["ll"]
-        u, state, g = cand["u"], cand, g_new
-        trace.append(state["ll"])
-        small = abs(dll) <= tol * (1.0 + abs(state["ll"]))
+        dll = cand.ll - state.ll
+        u, state, g = u_try, cand, g_new
+        trace.append(state.ll)
+        small = abs(dll) <= tol * (1.0 + abs(state.ll))
         if small:
             gnorm = float(np.max(np.abs(g))) if nfree else 0.0
-            if last_small or gnorm <= 1e-3 * (1.0 + abs(state["ll"])):
+            if last_small or gnorm <= 1e-3 * (1.0 + abs(state.ll)):
                 converged = True
                 break
         last_small = small
@@ -469,7 +458,7 @@ def fit(
         except (FactorizationError, ValueError) as exc:
             failures.append(f"run {run}: {exc}")
             continue
-        if best is None or state["ll"] > best[0]["ll"]:
+        if best is None or state.ll > best[0].ll:
             best = (state, trace, converged, iters)
     if best is None:
         raise FactorizationError(
@@ -477,14 +466,14 @@ def fit(
         )
 
     state, trace, converged, iters = best
-    params = state["params"]
-    fixed, random = _posterior(y, params, design, beta_cov)
+    params = state.params
+    fixed, random = _posterior(state, beta_cov)
     boundary = params.sigma2 < 1e-10 * (1.0 + float(np.var(y)))
     return MixedFit(
         params=params,
         fixed=fixed,
         random=random,
-        loglik=float(state["ll"]),
+        loglik=float(state.ll),
         loglik_trace=trace,
         design=design,
         converged=converged,
@@ -495,25 +484,14 @@ def fit(
     )
 
 
-def _posterior(y, params, design, beta_cov_policy):
+def _posterior(ev: _Evaluation, beta_cov_policy):
     """Fixed-effects estimate plus the three conditional (BLUP) distributions."""
-    cho, _, (K1, K2, K3) = _factor_V(params, design)
-    beta, a, G, _ = _gls_from_cho(y, design.T, cho)
-    Ginv = np.linalg.inv(G)
-    cov_beta = params.sigma2 * Ginv if beta_cov_policy == "scaled" else Ginv
-
-    def conditional(Z, K):
-        B = scipy.linalg.cho_solve(cho, Z, check_finite=False)
-        gamma = K @ (Z.T @ a)
-        cov = K - K @ (Z.T @ B) @ K
-        return gamma, cov
-
-    g1, c1 = conditional(design.Z1, K1)
-    g2, c2 = conditional(design.Z2, K2)
-    g3, c3 = conditional(design.Z3, K3)
-    fixed = FixedEffects(beta=beta, cov_beta=cov_beta)
-    random = RandomEffects(gamma1=g1, cov1=c1, gamma2=g2, cov2=c2, gamma3=g3, cov3=c3)
-    return fixed, random
+    Ginv = np.linalg.inv(ev.G)
+    cov_beta = ev.params.sigma2 * Ginv if beta_cov_policy == "scaled" else Ginv
+    moments = []
+    for (W, b), K in zip(ev.blocks(ev.a(ev.beta)), ev.kernels):
+        moments += [K @ b, K - K @ W @ K]
+    return FixedEffects(beta=ev.beta, cov_beta=cov_beta), RandomEffects(*moments)
 
 
 def blup(y, fit: MixedFit) -> RandomEffects:
@@ -522,7 +500,7 @@ def blup(y, fit: MixedFit) -> RandomEffects:
     Recomputed from the fitted hyperparameters; equals ``fit.random``.
     """
     y = _as_stacked(y, fit.design)
-    _, random = _posterior(y, fit.params, fit.design, fit.beta_cov_policy)
+    _, random = _posterior(_Evaluation(y, fit.params, fit.design), fit.beta_cov_policy)
     return random
 
 
@@ -531,95 +509,59 @@ def _sandwich_diag(Z, C):
     return np.einsum("ij,jk,ik->i", Z, C, Z)
 
 
+def _moments(d: DesignSet, fixed: FixedEffects, re: RandomEffects, sigma2):
+    """Mean and per-cell variance grids (years x ages) over the design's
+    rows: the four component variances plus the noise variance."""
+    parts = (
+        (d.T, fixed.beta, fixed.cov_beta),
+        (d.Z1, re.gamma1, re.cov1),
+        (d.Z2, re.gamma2, re.cov2),
+        (d.Z3, re.gamma3, re.cov3),
+    )
+    mean = sum(Z @ g for Z, g, _ in parts)
+    var = sum(np.maximum(_sandwich_diag(Z, C), 0.0) for Z, _, C in parts) + sigma2
+    n, m = d.n_train + d.horizon, d.n_ages
+    return unstack_vector(mean, n, m), unstack_vector(var, n, m)
+
+
 def fitted_surface(fit: MixedFit) -> tuple[np.ndarray, np.ndarray]:
     """In-sample mean and per-cell variance grids (years x ages)."""
-    d = fit.design
-    re = fit.random
-    mean = (
-        d.T @ fit.fixed.beta
-        + d.Z1 @ re.gamma1
-        + d.Z2 @ re.gamma2
-        + d.Z3 @ re.gamma3
-    )
-    var = (
-        np.maximum(_sandwich_diag(d.T, fit.fixed.cov_beta), 0.0)
-        + np.maximum(_sandwich_diag(d.Z1, re.cov1), 0.0)
-        + np.maximum(_sandwich_diag(d.Z2, re.cov2), 0.0)
-        + np.maximum(_sandwich_diag(d.Z3, re.cov3), 0.0)
-        + fit.params.sigma2
-    )
-    n, m = d.n_train, d.n_ages
-    return unstack_vector(mean, n, m), unstack_vector(var, n, m)
+    return _moments(fit.design, fit.fixed, fit.random, fit.params.sigma2)
 
 
 def forecast(fit: MixedFit, horizon: int, alpha: float = 0.05) -> Forecast:
     """Extend the fit h years ahead with per-cell prediction variances.
 
-    The cohort effect is extrapolated through its cross-covariance with the
-    training cohorts; the age-intercept and age-slope effects live on the
-    age axis and carry over unchanged. The reported per-cell variance sums
-    the four component variances plus the noise variance.
+    The cohort effect is extrapolated by :func:`extended_random_effects`;
+    the age-intercept and age-slope effects live on the age axis and carry
+    over unchanged. The reported per-cell variance sums the four component
+    variances plus the noise variance.
     """
     if horizon < 1:
         raise ValueError("forecast horizon must be >= 1")
     d = fit.design
-    params = fit.params
     dh = build_design(d.ages, d.train_years, horizon)
-    K3_star, K3_star_star = build_forecast_covariances(params, dh)
-
-    cho, _, _ = _factor_V(params, d)
-    beta, a, _, _ = _gls_from_cho(fit.y, d.T, cho)
-    B3 = scipy.linalg.cho_solve(cho, d.Z3, check_finite=False)
-    W3 = d.Z3.T @ B3
-    gamma3_ext = K3_star @ (d.Z3.T @ a)
-    cov3_ext = K3_star_star - K3_star @ W3 @ K3_star.T
-
-    re = fit.random
-    mean = (
-        dh.T @ beta
-        + dh.Z1 @ re.gamma1
-        + dh.Z2 @ re.gamma2
-        + dh.Z3 @ gamma3_ext
-    )
-    var = (
-        np.maximum(_sandwich_diag(dh.T, fit.fixed.cov_beta), 0.0)
-        + np.maximum(_sandwich_diag(dh.Z1, re.cov1), 0.0)
-        + np.maximum(_sandwich_diag(dh.Z2, re.cov2), 0.0)
-        + np.maximum(_sandwich_diag(dh.Z3, cov3_ext), 0.0)
-        + params.sigma2
-    )
-    n_all = d.n_train + horizon
-    m = d.n_ages
+    re = extended_random_effects(fit, horizon)
+    mean, var = _moments(dh, fit.fixed, re, fit.params.sigma2)
     return Forecast(
-        ages=d.ages,
-        years=dh.years,
-        horizon=horizon,
-        mean=unstack_vector(mean, n_all, m),
-        variance=unstack_vector(var, n_all, m),
+        ages=d.ages, years=dh.years, horizon=horizon, mean=mean, variance=var
     )
 
 
 def extended_random_effects(fit: MixedFit, horizon: int) -> RandomEffects:
-    """Random effects with the cohort vector extended ``horizon`` years ahead."""
+    """Random effects with the cohort vector extended ``horizon`` years ahead,
+    through its cross-covariance with the training cohorts."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     d = fit.design
     dh = build_design(d.ages, d.train_years, horizon)
     K3_star, K3_star_star = build_forecast_covariances(fit.params, dh)
-    cho, _, _ = _factor_V(fit.params, d)
-    _, a, _, _ = _gls_from_cho(fit.y, d.T, cho)
-    B3 = scipy.linalg.cho_solve(cho, d.Z3, check_finite=False)
-    W3 = d.Z3.T @ B3
-    gamma3_ext = K3_star @ (d.Z3.T @ a)
-    cov3_ext = K3_star_star - K3_star @ W3 @ K3_star.T
-    re = fit.random
-    return RandomEffects(
-        gamma1=re.gamma1,
-        cov1=re.cov1,
-        gamma2=re.gamma2,
-        cov2=re.cov2,
-        gamma3=gamma3_ext,
-        cov3=cov3_ext,
+    ev = _Evaluation(fit.y, fit.params, d)
+    W3, b3 = ev.blocks(ev.a(ev.beta))[2]
+    return replace(
+        fit.random,
+        gamma3=K3_star @ b3,
+        cov3=K3_star_star - K3_star @ W3 @ K3_star.T,
     )
 
 

@@ -14,6 +14,7 @@ from mortcast.backtest import (
     run_backtest,
 )
 from mortcast.data import MortalitySurface, inverse_logit
+from mortcast.errors import FactorizationError
 
 
 def cbd_exact_surface(ages, years, slope=-0.025):
@@ -187,6 +188,36 @@ class TestFailureHandling:
         pooled = report.pooled[("mixed", 2)]
         total = sum(float(np.sum(r.errors**2)) for r in ok)
         assert pooled**2 * (len(ok) * surface.ages.size) == pytest.approx(total)
+
+    PLAN = dict(ages=(60, 63), horizons=(2,), windows=3, models=("mixed",),
+                restarts=1, workers=1)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        surface = cbd_exact_surface((60, 63), (1985, 2008))
+
+        def broken_fit(y, design, **kw):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(bt.mixed_mod, "fit", broken_fit)
+        with pytest.raises(TypeError, match="synthetic programming error"):
+            run_backtest(BacktestPlan(**self.PLAN), surface)
+
+    def test_factorization_error_is_an_excluded_window(self, monkeypatch):
+        surface = cbd_exact_surface((60, 63), (1985, 2008))
+        real_fit = bt.mixed_mod.fit
+
+        def singular_fit(y, design, **kw):
+            if design.train_years[-1] == 2005:
+                raise FactorizationError("synthetic singular covariance")
+            return real_fit(y, design, **kw)
+
+        monkeypatch.setattr(bt.mixed_mod, "fit", singular_fit)
+        report = run_backtest(BacktestPlan(**self.PLAN), surface)
+        failed = [r for r in report.results if r.failed]
+        assert [r.train_end for r in failed] == [2005]
+        assert failed[0].message.startswith("FactorizationError")
+        assert len(report.failures) == 1
+        assert np.isfinite(report.pooled[("mixed", 2)])
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,3 +331,90 @@ class TestProperties:
         np.testing.assert_allclose(
             f_scaled.fixed.cov_beta, p.sigma2 * f_gls.fixed.cov_beta, rtol=1e-12
         )
+
+
+class TestOneFactorization:
+    """Every mixed-model quantity comes from one factor-and-solve of V."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Cholesky calls made through the mixed namespace, and the
+        optimizer's objective evaluations."""
+        import mortcast.mixed as mixed_mod
+
+        counts = {"chol": 0, "objective": 0}
+        real_chol = mixed_mod.cholesky_with_jitter
+        real_evaluate = mixed_mod._ProfileObjective.evaluate
+
+        def counting_chol(V):
+            counts["chol"] += 1
+            return real_chol(V)
+
+        def counting_evaluate(self, u):
+            counts["objective"] += 1
+            return real_evaluate(self, u)
+
+        monkeypatch.setattr(mixed_mod, "cholesky_with_jitter", counting_chol)
+        monkeypatch.setattr(mixed_mod._ProfileObjective, "evaluate", counting_evaluate)
+        return counts
+
+    @staticmethod
+    def data(rng):
+        d = build_design(range(60, 64), range(1995, 2007))
+        true = KernelParams(h1=0.4, l1=16.0, h2=0.05, l2=16.0, c=0.25, s=30.0,
+                            sigma2=0.04)
+        return simulate(d, true, [-3.0, -0.04], rng), d
+
+    def test_fit_factors_once_per_evaluation(self, rng, counts):
+        fit(*self.data(rng), restarts=1)
+        assert counts["objective"] > 1
+        # the posterior reads the winning evaluation: no factorization of its own
+        assert counts["chol"] == counts["objective"]
+
+    def test_forecast_blup_and_load_factor_once(self, rng, tmp_path, request):
+        from mortcast.artifacts import load_fit, save_fit
+
+        y, d = self.data(rng)
+        f = fit(y, d, restarts=1)
+        counts = request.getfixturevalue("counts")
+        forecast(f, 3)
+        assert counts["chol"] == 1
+        blup(y, f)
+        assert counts["chol"] == 2
+        save_fit(f, tmp_path / "fit.json")
+        load_fit(tmp_path / "fit.json")
+        assert counts["chol"] == 3
+
+
+class TestJitterReported:
+    # sigma2 = 1e-20 on a design with N = 30 rows and only q = 18 random
+    # effect columns: V has rank 18 and needs the jitter round
+    DESIGN = dict(ages=range(60, 63), train_years=range(2000, 2010))
+    PARAMS = KernelParams(h1=0.5, l1=10.0, h2=0.05, l2=10.0, c=0.3, s=20.0,
+                          sigma2=1e-20)
+
+    def _jitter_warnings(self, caplog):
+        return [r for r in caplog.records
+                if r.name == "mortcast" and r.levelname == "WARNING"
+                and "jitter" in r.getMessage()]
+
+    def test_evaluation_logs_jitter(self, caplog):
+        d = build_design(**self.DESIGN)
+        with caplog.at_level("WARNING", logger="mortcast"):
+            log_likelihood(np.zeros(30), [0.0, 0.0], self.PARAMS, d)
+        assert len(self._jitter_warnings(caplog)) == 1
+
+    def test_assemble_v_logs_jitter(self, caplog):
+        from mortcast.design import assemble_V
+
+        d = build_design(**self.DESIGN)
+        with caplog.at_level("WARNING", logger="mortcast"):
+            assemble_V(self.PARAMS, d)
+        assert len(self._jitter_warnings(caplog)) == 1
+
+    def test_clean_factorization_is_silent(self, caplog):
+        d = build_design(**self.DESIGN)
+        with caplog.at_level("WARNING", logger="mortcast"):
+            clean = replace(self.PARAMS, sigma2=0.1)
+            log_likelihood(np.zeros(30), [0.0, 0.0], clean, d)
+        assert self._jitter_warnings(caplog) == []
