@@ -8,119 +8,4 @@ under identifiability constraints, random-walk-with-drift forecasts),
 plus a rolling-window RMSE backtest harness and a CLI.
 """
 
-from .backtest import BacktestPlan, BacktestReport, emit_report, rmse_curve, run_backtest
-from .cbd import (
-    CbdFit,
-    RwDrift,
-    cbd_poisson_loglik,
-    estimate_rw,
-    fit_cbd,
-    fitted_logit,
-    forecast_cbd,
-    synthesize_counts,
-    transform_parameters,
-)
-from .data import (
-    MortalitySurface,
-    RawMortalityTable,
-    build_surface,
-    central_to_initial,
-    initial_to_central,
-    inverse_logit,
-    logit,
-    parse_table,
-    split_train_test,
-)
-from .design import (
-    DesignSet,
-    KernelParams,
-    assemble_V,
-    build_covariances,
-    build_design,
-    build_forecast_covariances,
-    se_kernel,
-)
-from .errors import (
-    DuplicateCellError,
-    EmptyInputError,
-    FactorizationError,
-    MissingCellError,
-    MortcastError,
-    NonFiniteLogitError,
-    ParseError,
-)
-from .forecasts import Forecast, normal_quantile
-from .mixed import (
-    FixedEffects,
-    MixedFit,
-    RandomEffects,
-    blup,
-    default_init,
-    fit,
-    fitted_surface,
-    forecast,
-    gls_beta,
-    grad_loglik,
-    log_likelihood,
-    simulate,
-    stack_grid,
-    unstack_vector,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BacktestPlan",
-    "BacktestReport",
-    "CbdFit",
-    "DesignSet",
-    "DuplicateCellError",
-    "EmptyInputError",
-    "FactorizationError",
-    "FixedEffects",
-    "Forecast",
-    "KernelParams",
-    "MissingCellError",
-    "MixedFit",
-    "MortalitySurface",
-    "MortcastError",
-    "NonFiniteLogitError",
-    "ParseError",
-    "RandomEffects",
-    "RawMortalityTable",
-    "RwDrift",
-    "assemble_V",
-    "blup",
-    "build_covariances",
-    "build_design",
-    "build_forecast_covariances",
-    "build_surface",
-    "cbd_poisson_loglik",
-    "central_to_initial",
-    "default_init",
-    "emit_report",
-    "estimate_rw",
-    "fit",
-    "fit_cbd",
-    "fitted_logit",
-    "fitted_surface",
-    "forecast",
-    "forecast_cbd",
-    "gls_beta",
-    "grad_loglik",
-    "initial_to_central",
-    "inverse_logit",
-    "log_likelihood",
-    "logit",
-    "normal_quantile",
-    "parse_table",
-    "rmse_curve",
-    "run_backtest",
-    "se_kernel",
-    "simulate",
-    "split_train_test",
-    "stack_grid",
-    "synthesize_counts",
-    "transform_parameters",
-    "unstack_vector",
-]

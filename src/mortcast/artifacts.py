@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .cbd import CbdFit
+from .data import cohort_labels
 from .design import KernelParams, build_design
 from .mixed import MixedFit, _Evaluation, _posterior, stack_grid, unstack_vector
 
@@ -84,20 +85,14 @@ def _cbd_to_dict(fit: CbdFit) -> dict:
 def dict_to_fit(doc: dict) -> MixedFit | CbdFit:
     """Rebuild a fit object from its artifact document."""
     model = doc.get("model")
-    if model == "mixed":
-        return _dict_to_mixed(doc)
-    if model == "cbd":
-        return _dict_to_cbd(doc)
-    raise ValueError(f"unknown or missing model tag {model!r}")
+    if model not in ("mixed", "cbd"):
+        raise ValueError(f"unknown or missing model tag {model!r}")
+    ages, years = (np.arange(int(lo), int(hi) + 1) for lo, hi in
+                   (doc["window"]["ages"], doc["window"]["years"]))
+    return (_dict_to_mixed if model == "mixed" else _dict_to_cbd)(doc, ages, years)
 
 
-def _axis_from_window(pair) -> np.ndarray:
-    return np.arange(int(pair[0]), int(pair[1]) + 1)
-
-
-def _dict_to_mixed(doc: dict) -> MixedFit:
-    ages = _axis_from_window(doc["window"]["ages"])
-    years = _axis_from_window(doc["window"]["years"])
+def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
     design = build_design(ages, years)
     params = KernelParams(**doc["params"])
     y = stack_grid(np.asarray(doc["y"], dtype=float))
@@ -118,17 +113,14 @@ def _dict_to_mixed(doc: dict) -> MixedFit:
     )
 
 
-def _dict_to_cbd(doc: dict) -> CbdFit:
-    ages = _axis_from_window(doc["window"]["ages"])
-    years = _axis_from_window(doc["window"]["years"])
-    cohorts = np.arange(years[0] - ages[-1], years[-1] - ages[0] + 1)
+def _dict_to_cbd(doc: dict, ages, years) -> CbdFit:
     return CbdFit(
         ages=ages,
         years=years,
         kappa1=np.asarray(doc["kappa1"], dtype=float),
         kappa2=np.asarray(doc["kappa2"], dtype=float),
         gamma3=np.asarray(doc["gamma3"], dtype=float),
-        cohorts=cohorts,
+        cohorts=cohort_labels(ages, years),
         included=np.asarray(doc["included"], dtype=bool),
         x_bar=float(doc["x_bar"]),
         loglik=float(doc["loglik"]),

@@ -21,6 +21,7 @@ from . import mixed as mixed_mod
 from .data import MortalitySurface
 from .design import build_design
 from .errors import MortcastError
+from .threads import thread_cap
 
 MODELS = ("mixed", "cbd")
 
@@ -112,7 +113,6 @@ class BacktestReport:
     results: list[WindowResult]
     pooled: dict[tuple[str, int], float]
     failures: list[str] = field(default_factory=list)
-    runtime_seconds: float | None = None  # stdout-only; never serialized
 
     def pooled_rmse(self, model: str, horizon: int) -> float:
         return self.pooled[(model, horizon)]
@@ -177,8 +177,7 @@ def _run_window(surface, deaths, exposures, plan, model, horizon, window, t_l):
 
 
 def _resolve_workers(plan: BacktestPlan, n_tasks: int) -> int:
-    cap = os.environ.get("MORTCAST_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
+    cap = thread_cap() or os.cpu_count() or 1
     want = plan.workers if plan.workers is not None else min(n_tasks, cap)
     return max(1, min(want, cap, n_tasks))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .data import initial_to_central
+from .data import cohort_labels, initial_to_central
 from .forecasts import Forecast
 
 #: cohorts observed in fewer cells than this are dropped from the fit
@@ -67,17 +67,9 @@ class RwDrift:
     divisor: str = "n"
 
 
-def cohort_labels(ages, years) -> np.ndarray:
-    """Consecutive cohort labels years[0]-ages[-1] .. years[-1]-ages[0]."""
-    ages = np.asarray(ages, dtype=int)
-    years = np.asarray(years, dtype=int)
-    return np.arange(years[0] - ages[-1], years[-1] - ages[0] + 1)
-
-
 def _cohort_cols(ages, years, cohorts) -> np.ndarray:
-    """(n, m) grid of indices into the cohort axis, entry (i, j) for t_i - x_j."""
-    years = np.asarray(years, dtype=int)
-    ages = np.asarray(ages, dtype=int)
+    """(n, m) grid of indices into the cohort axis, entry (i, j) for t_i - x_j;
+    ``ages`` and ``years`` are int arrays."""
     return (years[:, None] - ages[None, :]) - cohorts[0]
 
 

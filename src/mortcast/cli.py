@@ -17,13 +17,20 @@ import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-# BLAS threads default to the MORTCAST_THREADS cap (or 1): the fits here are
-# small enough that thread handoff dominates, and fixed-order reductions keep
-# repeat runs byte-identical; must happen before numpy loads
-_default_threads = os.environ.get("MORTCAST_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", _default_threads)
-os.environ.setdefault("OMP_NUM_THREADS", _default_threads)
-os.environ.setdefault("MKL_NUM_THREADS", _default_threads)
+from .errors import MortcastError, UsageError
+from .threads import thread_cap
+
+# BLAS runs single-threaded unless OPENBLAS_NUM_THREADS (or OMP_/MKL_) or
+# MORTCAST_THREADS is set: thread handoff costs more than it saves at these
+# sizes, and fixed-order reductions keep reruns byte-identical. The package
+# __init__ imports nothing, so this runs before numpy loads; main() reports
+# a bad MORTCAST_THREADS, which never reaches BLAS.
+try:
+    _blas_threads = str(thread_cap() or 1)
+except UsageError:
+    _blas_threads = "1"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, _blas_threads)
 
 import numpy as np
 
@@ -39,16 +46,11 @@ from .data import (
     window_counts,
 )
 from .design import assemble_V, build_covariances, build_design
-from .errors import MortcastError
 from .mixed import MixedFit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NONCONVERGENCE = 2
-
-
-class UsageError(MortcastError):
-    """Invalid flags or inconsistent options."""
 
 
 @dataclass
@@ -375,7 +377,6 @@ def cmd_backtest(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     report = run_backtest(plan, surface, deaths, exposures)
     elapsed = time.perf_counter() - t0
-    report.runtime_seconds = elapsed  # stdout only; never serialized
     out_dir = Path(cfg.out)
     _write(out_dir, "report.csv", emit_report(report, "csv"))
     _write(out_dir, "report.md", emit_report(report, "markdown-table"))
@@ -397,6 +398,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; remap to the documented code
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
+        thread_cap()  # a bad MORTCAST_THREADS fails every command, not just backtest
         cfg = _config_from_args(args)
         if cfg.command == "fit":
             return cmd_fit(cfg)

@@ -80,6 +80,23 @@ def inverse_logit(y):
     return q if q.ndim else float(q)
 
 
+def consecutive_axis(values, name: str) -> np.ndarray:
+    """``values`` as an int array, which must be non-empty and consecutive."""
+    axis = np.asarray(list(values), dtype=int)
+    if axis.size == 0:
+        raise ValueError(f"{name} is empty")
+    if np.any(np.diff(axis) != 1):
+        raise ValueError(f"{name} must be consecutive integers")
+    return axis
+
+
+def cohort_labels(ages, years) -> np.ndarray:
+    """Consecutive cohort labels years[0]-ages[-1] .. years[-1]-ages[0]."""
+    ages = np.asarray(ages, dtype=int)
+    years = np.asarray(years, dtype=int)
+    return np.arange(years[0] - ages[-1], years[-1] - ages[0] + 1)
+
+
 @dataclass(frozen=True)
 class RawMortalityTable:
     """Long-format mortality rows keyed by (year, age).
@@ -294,15 +311,10 @@ class MortalitySurface:
     y: np.ndarray
 
     def __post_init__(self):
-        ages = np.asarray(self.ages, dtype=int)
-        years = np.asarray(self.years, dtype=int)
+        ages = consecutive_axis(self.ages, "ages")
+        years = consecutive_axis(self.years, "years")
         q = np.asarray(self.q, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        for name, axis in (("ages", ages), ("years", years)):
-            if axis.size == 0:
-                raise ValueError(f"{name} is empty")
-            if axis.size > 1 and np.any(np.diff(axis) != 1):
-                raise ValueError(f"{name} must be consecutive integers")
         if q.shape != (years.size, ages.size) or y.shape != q.shape:
             raise ValueError(
                 f"grid shape {q.shape} does not match "
@@ -348,12 +360,7 @@ def _axis(spec, name: str) -> np.ndarray:
         if hi < lo:
             raise ValueError(f"{name} range {lo}:{hi} is reversed")
         return np.arange(lo, hi + 1)
-    arr = np.asarray(list(spec), dtype=int)
-    if arr.size == 0:
-        raise ValueError(f"{name} is empty")
-    if arr.size > 1 and np.any(np.diff(arr) != 1):
-        raise ValueError(f"{name} must be consecutive integers")
-    return arr
+    return consecutive_axis(spec, name)
 
 
 def build_surface(
@@ -380,20 +387,24 @@ def build_surface(
     NonFiniteLogitError
         A cell has q <= 0 (or q >= 1) and clamping is off.
     """
-    ages = _axis(ages, "ages")
-    years = _axis(years, "years")
-    q = np.empty((years.size, ages.size))
-    for i, t in enumerate(years):
-        for j, x in enumerate(ages):
-            r = table.rates[table.lookup(t, x)]
-            qx = central_to_initial(r) if table.rate_kind == "central" else float(r)
-            if qx <= 0.0:
-                if clamp_q is None:
-                    raise NonFiniteLogitError("rate q <= 0", year=int(t), age=int(x))
-                qx = clamp_q
-            if qx >= 1.0:
-                raise NonFiniteLogitError("rate q >= 1", year=int(t), age=int(x))
-            q[i, j] = qx
+    ages, years, rows = _cell_rows(table, ages, years)
+    r = table.rates[rows]
+    central = table.rate_kind == "central"
+    ok_m = np.isfinite(r) & (r >= 0) if central else np.True_
+    q = central_to_initial(np.where(ok_m, r, 0.0)) if central else r
+    if clamp_q is not None:
+        q = np.where(q <= 0.0, clamp_q, q)
+    bad = (rows < 0) | ~ok_m | (q <= 0.0) | (q >= 1.0)
+    if bad.any():
+        # redo the first bad cell in (year, age) order alone, so that it
+        # raises exactly the error a cell-by-cell pass would
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        t, x = int(years[i]), int(ages[j])
+        r = table.rates[table.lookup(t, x)]
+        qx = central_to_initial(r) if central else float(r)
+        if qx <= 0.0 and clamp_q is None:
+            raise NonFiniteLogitError("rate q <= 0", year=t, age=x)
+        raise NonFiniteLogitError("rate q >= 1", year=t, age=x)
     return MortalitySurface(ages=ages, years=years, q=q, y=logit(q))
 
 
@@ -403,18 +414,24 @@ def window_counts(
     """Extract (deaths, exposures) grids for a window, or None if incomplete."""
     if table.deaths is None or table.exposures is None:
         return None
-    ages = _axis(ages, "ages")
-    years = _axis(years, "years")
-    D = np.empty((years.size, ages.size))
-    E = np.empty((years.size, ages.size))
-    for i, t in enumerate(years):
-        for j, x in enumerate(ages):
-            r = table.lookup(t, x)
-            D[i, j] = table.deaths[r]
-            E[i, j] = table.exposures[r]
+    ages, years, rows = _cell_rows(table, ages, years)
+    if (rows < 0).any():
+        i, j = np.unravel_index(np.argmax(rows < 0), rows.shape)
+        table.lookup(years[i], ages[j])  # raises MissingCellError
+    D = table.deaths[rows]
+    E = table.exposures[rows]
     if not (np.all(np.isfinite(D)) and np.all(np.isfinite(E)) and np.all(E > 0)):
         return None
     return D, E
+
+
+def _cell_rows(table: RawMortalityTable, ages, years):
+    """The window's (ages, years) axes and its (years x ages) grid of the
+    table's row indices, -1 where a cell is absent."""
+    ages, years = _axis(ages, "ages"), _axis(years, "years")
+    get = table._index.get
+    rows = [[get((t, x), -1) for x in ages.tolist()] for t in years.tolist()]
+    return ages, years, np.array(rows)
 
 
 def split_train_test(

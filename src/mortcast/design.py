@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .data import cohort_labels, consecutive_axis
 from .errors import FactorizationError
 
 #: Diagonal inflation applied once, relative to mean(diag(V)), when a
@@ -120,13 +121,8 @@ def build_design(ages, train_years, horizon: int = 0) -> DesignSet:
         to every age block and widens the cohort axis accordingly; the time
         centering t_bar stays the training-year mean.
     """
-    ages = np.asarray(list(ages), dtype=int)
-    train_years = np.asarray(list(train_years), dtype=int)
-    if ages.size == 0 or train_years.size == 0:
-        raise ValueError("ages and train_years must be non-empty")
-    for name, axis in (("ages", ages), ("train_years", train_years)):
-        if axis.size > 1 and np.any(np.diff(axis) != 1):
-            raise ValueError(f"{name} must be consecutive integers")
+    ages = consecutive_axis(ages, "ages")
+    train_years = consecutive_axis(train_years, "train_years")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
 
@@ -137,14 +133,12 @@ def build_design(ages, train_years, horizon: int = 0) -> DesignSet:
     n_all = years.size
     N = n_all * m
 
-    cohort_lo = int(years[0] - ages[-1])
-    cohort_hi = int(years[-1] - ages[0])
-    cohort_index = np.arange(cohort_lo, cohort_hi + 1)
+    cohort_index = cohort_labels(ages, years)
 
     row_age = np.repeat(np.arange(m), n_all)
     row_year = np.tile(np.arange(n_all), m)
     tau = years[row_year] - t_bar
-    row_cohort = (years[row_year] - ages[row_age]) - cohort_lo
+    row_cohort = (years[row_year] - ages[row_age]) - cohort_index[0]
 
     T = np.column_stack([np.ones(N), tau])
     rows = np.arange(N)

@@ -19,6 +19,10 @@ class EmptyInputError(ParseError):
     """Input stream contained no data rows."""
 
 
+class UsageError(MortcastError):
+    """Invalid flags, options or settings."""
+
+
 class DuplicateCellError(MortcastError):
     """A (year, age) cell appeared more than once in a table."""
 

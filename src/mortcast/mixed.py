@@ -122,7 +122,8 @@ class _Evaluation:
     log-determinant, the GLS beta, a(beta) = V^-1 (y - T beta), the
     Z_k' V^-1 Z_k and Z_k' V^-1 a blocks, and tr(V^-1) when a gradient asks
     for it. V is dropped once factored; only its Cholesky factor is kept,
-    and V is never inverted explicitly.
+    and V is never inverted explicitly. ``jitter`` is the diagonal inflation
+    the factorization needed (0.0 when V factored as is).
     """
 
     def __init__(self, y, params: KernelParams, design: DesignSet):
@@ -131,7 +132,7 @@ class _Evaluation:
         self.design = design
         self.kernels = build_covariances(params, design)
         V = _assemble_V_from_kernels(params.sigma2, design, *self.kernels)
-        self.L, _ = cholesky_with_jitter(V)
+        self.L, self.jitter = cholesky_with_jitter(V)
         del V
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.L))))
         rhs = np.column_stack([design.T, y, design.Z1, design.Z2, design.Z3])
@@ -221,13 +222,10 @@ def _kernel_partials(K, dist2, amplitude, length):
 
 def _trace_inverse(L):
     """tr(V^-1) from the lower Cholesky factor: squared Frobenius norm of
-    L^-1, inverted in place by LAPACK trtri when available."""
+    L^-1, inverted by LAPACK trtri. trtri fails only on an exactly zero
+    diagonal entry, which a Cholesky factor cannot have."""
     (trtri,) = scipy.linalg.get_lapack_funcs(("trtri",), (L,))
-    Linv, info = trtri(L, lower=1)
-    if info != 0:
-        Linv = scipy.linalg.solve_triangular(
-            L, np.eye(L.shape[0]), lower=True, check_finite=False
-        )
+    Linv, _ = trtri(L, lower=1)
     return float(np.sum(Linv * Linv))
 
 
@@ -275,8 +273,9 @@ def _bfgs_ascent(objective, u0, free, tol, max_iter):
     """Maximize the profile LL from u0; returns (state, trace, converged, iters).
 
     Accepted steps satisfy an Armijo condition on -LL, so the likelihood
-    trace is nondecreasing. Trial points that fail factorization or go
-    non-finite are rejected by backtracking.
+    trace is nondecreasing. Trial points that fail factorization, need
+    jitter (their likelihood belongs to a different V) or go non-finite are
+    rejected by backtracking.
     """
     u = np.clip(u0, -_LOG_BOUND, _LOG_BOUND)
     state = objective.evaluate(u)
@@ -311,10 +310,10 @@ def _bfgs_ascent(objective, u0, free, tol, max_iter):
             u_try[free] = np.clip(u[free] + alpha * d, -_LOG_BOUND, _LOG_BOUND)
             try:
                 cand = objective.evaluate(u_try)
-                finite = np.isfinite(cand.ll)
+                usable = cand.jitter == 0.0 and np.isfinite(cand.ll)
             except (FactorizationError, np.linalg.LinAlgError):
-                finite = False
-            if finite:
+                usable = False
+            if usable:
                 sufficient = -cand.ll <= -state.ll + 1e-4 * alpha * slope
                 # strict improvement required: deep backtracking must not
                 # accept zero-progress steps once the Armijo term underflows
@@ -537,28 +536,29 @@ def forecast(fit: MixedFit, horizon: int, alpha: float = 0.05) -> Forecast:
     over unchanged. The reported per-cell variance sums the four component
     variances plus the noise variance.
     """
-    if horizon < 1:
-        raise ValueError("forecast horizon must be >= 1")
-    d = fit.design
-    dh = build_design(d.ages, d.train_years, horizon)
-    re = extended_random_effects(fit, horizon)
+    dh, re = _extended(fit, horizon)
     mean, var = _moments(dh, fit.fixed, re, fit.params.sigma2)
     return Forecast(
-        ages=d.ages, years=dh.years, horizon=horizon, mean=mean, variance=var
+        ages=dh.ages, years=dh.years, horizon=horizon, mean=mean, variance=var
     )
 
 
 def extended_random_effects(fit: MixedFit, horizon: int) -> RandomEffects:
     """Random effects with the cohort vector extended ``horizon`` years ahead,
     through its cross-covariance with the training cohorts."""
+    return _extended(fit, horizon)[1]
+
+
+def _extended(fit: MixedFit, horizon: int) -> tuple[DesignSet, RandomEffects]:
+    """The forecast design and :func:`extended_random_effects` on it."""
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise ValueError("forecast horizon must be >= 1")
     d = fit.design
     dh = build_design(d.ages, d.train_years, horizon)
     K3_star, K3_star_star = build_forecast_covariances(fit.params, dh)
     ev = _Evaluation(fit.y, fit.params, d)
     W3, b3 = ev.blocks(ev.a(ev.beta))[2]
-    return replace(
+    return dh, replace(
         fit.random,
         gamma3=K3_star @ b3,
         cov3=K3_star_star - K3_star @ W3 @ K3_star.T,

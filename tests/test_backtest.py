@@ -14,7 +14,7 @@ from mortcast.backtest import (
     run_backtest,
 )
 from mortcast.data import MortalitySurface, inverse_logit
-from mortcast.errors import FactorizationError
+from mortcast.errors import FactorizationError, UsageError
 
 
 def cbd_exact_surface(ages, years, slope=-0.025):
@@ -164,6 +164,13 @@ class TestDeterminismAndParallel:
         monkeypatch.setenv("MORTCAST_THREADS", "1")
         plan = BacktestPlan(horizons=(2,), windows=2, models=("cbd",))
         assert bt._resolve_workers(plan, 8) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_thread_env_is_a_usage_error(self, monkeypatch, value):
+        monkeypatch.setenv("MORTCAST_THREADS", value)
+        plan = BacktestPlan(horizons=(2,), windows=2, models=("cbd",))
+        with pytest.raises(UsageError, match="MORTCAST_THREADS must be a positive integer"):
+            bt._resolve_workers(plan, 8)
 
 
 class TestFailureHandling:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -286,6 +287,15 @@ class TestRunConfig:
         with pytest.raises(Exception):
             RunConfig.from_json('{"command": "fit", "bogus": 1}')
 
+    def test_bad_thread_env_exits_one_naming_it(self, data_csv, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.setenv("MORTCAST_THREADS", "abc")
+        code = run_cli("fit", "--model", "cbd", "--input", data_csv,
+                       "--years", "1990:2012", "--ages", "60:63", "--out", tmp_path)
+        assert code == EXIT_ERROR
+        assert "MORTCAST_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_usage_error_exit_code(self):
         assert main(["fit", "--bogus-flag"]) == EXIT_ERROR
         assert main(["--help"]) == EXIT_OK
@@ -322,3 +332,28 @@ class TestArtifacts:
         )
         assert proc.returncode == 0
         assert "backtest" in proc.stdout
+
+
+class TestImportHygiene:
+    """The package imports nothing, so the CLI pins BLAS before numpy loads."""
+
+    @pytest.mark.parametrize("threads, blas", [(None, "1"), ("2", "2"),
+                                               ("abc", "1"), ("0", "1")])
+    def test_cli_pins_blas_before_numpy(self, threads, blas):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS", "MORTCAST_THREADS")}
+        if threads is not None:
+            env["MORTCAST_THREADS"] = threads
+        code = (
+            "import os, sys\n"
+            "import mortcast\n"
+            "assert 'numpy' not in sys.modules, 'import mortcast loaded numpy'\n"
+            "import mortcast.cli\n"
+            "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', "
+            "'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [blas] * 3

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -179,6 +180,23 @@ def _table_from_m(ages, years, m_grid):
     return RawMortalityTable(np.array(yy), np.array(xx), np.array(mm))
 
 
+def _cell_by_cell_q(table, ages, years, clamp_q):
+    """Reference q grid: one lookup and one conversion per cell."""
+    q = np.empty((len(years), len(ages)))
+    for i, t in enumerate(years):
+        for j, x in enumerate(ages):
+            r = table.rates[table.lookup(t, x)]
+            qx = central_to_initial(r) if table.rate_kind == "central" else float(r)
+            if qx <= 0.0:
+                if clamp_q is None:
+                    raise NonFiniteLogitError("rate q <= 0", year=t, age=x)
+                qx = clamp_q
+            if qx >= 1.0:
+                raise NonFiniteLogitError("rate q >= 1", year=t, age=x)
+            q[i, j] = qx
+    return q
+
+
 class TestBuildSurface:
     def test_single_cell_log_two(self):
         table = _table_from_m([70], [2000], [[math.log(2)]])
@@ -220,6 +238,35 @@ class TestBuildSurface:
         with pytest.raises(ValueError, match="reversed"):
             build_surface(table, (60, 60), (2006, 1947))
 
+    @pytest.mark.parametrize("rate_kind", ["central", "initial"])
+    @pytest.mark.parametrize("clamp_q", [None, 1e-6])
+    def test_matches_cell_by_cell_reference(self, rate_kind, clamp_q):
+        # two defective cells, (2000, 61) then (2001, 60) in (year, age)
+        # order: the first one must raise exactly as a cell-by-cell loop
+        # would, and clean grids must come out bit for bit the same
+        defects = [None, "missing", float("nan"), float("inf"), -0.1, 0.0, 50.0, 1.0]
+        ages, years = [60, 61, 62], [2000, 2001, 2002]
+        for a, b in itertools.product(defects, repeat=2):
+            grid = {(t, x): 0.01 + 0.001 * (x - 60) + 0.0001 * (t - 2000)
+                    for t in years for x in ages}
+            grid[(2000, 61)], grid[(2001, 60)] = a, b
+            cells = [(t, x, r) for (t, x), r in grid.items() if r != "missing"]
+            cells = [(t, x, 0.02 if r is None else r) for t, x, r in cells]
+            yy, xx, rr = (np.array(c) for c in zip(*cells))
+            table = RawMortalityTable(yy, xx, rr.astype(float), rate_kind=rate_kind)
+            try:
+                want = _cell_by_cell_q(table, ages, years, clamp_q)
+                logit(want)
+            except Exception as exc:
+                with pytest.raises(type(exc)) as err:
+                    build_surface(table, (60, 62), (2000, 2002), clamp_q=clamp_q)
+                assert str(err.value) == str(exc)
+                assert getattr(err.value, "year", None) == getattr(exc, "year", None)
+                assert getattr(err.value, "age", None) == getattr(exc, "age", None)
+                continue
+            got = build_surface(table, (60, 62), (2000, 2002), clamp_q=clamp_q)
+            assert got.q.tobytes() == want.tobytes()
+
     def test_csv_serialization_round_trips(self, small_surface):
         text = small_surface.to_csv()
         lines = text.strip().splitlines()
@@ -247,6 +294,14 @@ class TestWindowCounts:
         D, E = counts
         np.testing.assert_array_equal(D, [[200, 300], [210, 310]])
         np.testing.assert_array_equal(E, np.full((2, 2), 10000.0))
+
+    def test_missing_cell_names_the_first_one(self):
+        from mortcast.data import window_counts
+
+        text = "year,age,mx,deaths,exposure\n2000,60,0.02,200,10000\n"
+        table = parse_table(text, "csv")
+        with pytest.raises(MissingCellError, match=r"year=2000, age=61"):
+            window_counts(table, (60, 61), (2000, 2001))
 
     def test_none_without_count_columns(self):
         from mortcast.data import window_counts

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -418,3 +419,55 @@ class TestJitterReported:
             clean = replace(self.PARAMS, sigma2=0.1)
             log_likelihood(np.zeros(30), [0.0, 0.0], clean, d)
         assert self._jitter_warnings(caplog) == []
+
+
+class TestJitteredTrialsRejected:
+    """An accepted optimizer step never comes from a jittered factorization,
+    whose likelihood belongs to V + jI rather than to V."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        import mortcast.mixed as mixed_mod
+
+        seen = []
+        real_evaluate = mixed_mod._ProfileObjective.evaluate
+
+        def recording_evaluate(self, u):
+            ev = real_evaluate(self, u)
+            seen.append(ev)
+            return ev
+
+        monkeypatch.setattr(mixed_mod._ProfileObjective, "evaluate", recording_evaluate)
+        return seen
+
+    @staticmethod
+    def assert_trace_is_clean(f, evaluations):
+        jittered = {ev.ll for ev in evaluations if ev.jitter > 0.0}
+        clean = {ev.ll for ev in evaluations if ev.jitter == 0.0}
+        assert jittered, "the fit met no jittered trial point"
+        assert f.n_iter > 1
+        for ll in f.loglik_trace[1:]:
+            assert ll in clean and ll not in jittered
+
+    def test_noiseless_fit(self, evaluations):
+        # noiseless affine data drive sigma2 towards 0, where trial points
+        # need real jitter
+        d = build_design(range(60, 65), range(1995, 2015))
+        f = fit(d.T @ np.array([-2.5, -0.06]), d, restarts=1)
+        self.assert_trace_is_clean(f, evaluations)
+
+    def test_every_other_factorization_jittered(self, rng, evaluations, monkeypatch):
+        # every second factorization reports a negligible jitter, leaving the
+        # factor itself unchanged: the ascent must step through clean ones only
+        import mortcast.mixed as mixed_mod
+
+        real_chol = mixed_mod.cholesky_with_jitter
+        calls = itertools.count(1)
+
+        def alternating_chol(V):
+            L, jitter = real_chol(V)
+            return L, (1e-300 if next(calls) % 2 == 0 else jitter)
+
+        monkeypatch.setattr(mixed_mod, "cholesky_with_jitter", alternating_chol)
+        f = fit(*TestOneFactorization.data(rng), restarts=1)
+        self.assert_trace_is_clean(f, evaluations)
