@@ -17,7 +17,8 @@ import numpy as np
 from .cbd import CbdFit
 from .data import cohort_labels
 from .design import KernelParams, build_design
-from .mixed import MixedFit, _Evaluation, _posterior, stack_grid, unstack_vector
+from .mixed import (
+    MixedFit, _Evaluation, _posterior, _Projection, stack_grid, unstack_vector)
 
 SCHEMA_VERSION = 1
 
@@ -97,7 +98,7 @@ def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
     params = KernelParams(**doc["params"])
     y = stack_grid(np.asarray(doc["y"], dtype=float))
     policy = doc.get("beta_cov_policy", "scaled")
-    fixed, random = _posterior(_Evaluation(y, params, design), policy)
+    fixed, random = _posterior(_Evaluation(_Projection(y, design), params), policy)
     return MixedFit(
         params=params,
         fixed=fixed,

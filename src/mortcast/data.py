@@ -385,7 +385,7 @@ def build_surface(
     MissingCellError
         A requested cell is not in the table.
     NonFiniteLogitError
-        A cell has q <= 0 (or q >= 1) and clamping is off.
+        A cell has a NaN q, q >= 1, or q <= 0 with clamping off.
     """
     ages, years, rows = _cell_rows(table, ages, years)
     r = table.rates[rows]
@@ -394,7 +394,7 @@ def build_surface(
     q = central_to_initial(np.where(ok_m, r, 0.0)) if central else r
     if clamp_q is not None:
         q = np.where(q <= 0.0, clamp_q, q)
-    bad = (rows < 0) | ~ok_m | (q <= 0.0) | (q >= 1.0)
+    bad = (rows < 0) | ~ok_m | ~np.isfinite(q) | (q <= 0.0) | (q >= 1.0)
     if bad.any():
         # redo the first bad cell in (year, age) order alone, so that it
         # raises exactly the error a cell-by-cell pass would
@@ -402,6 +402,8 @@ def build_surface(
         t, x = int(years[i]), int(ages[j])
         r = table.rates[table.lookup(t, x)]
         qx = central_to_initial(r) if central else float(r)
+        if np.isnan(qx):
+            raise NonFiniteLogitError("rate q is NaN", year=t, age=x)
         if qx <= 0.0 and clamp_q is None:
             raise NonFiniteLogitError("rate q <= 0", year=t, age=x)
         raise NonFiniteLogitError("rate q >= 1", year=t, age=x)

@@ -244,12 +244,13 @@ def _assemble_V_from_kernels(sigma2, design, K1, K2, K3) -> np.ndarray:
 
 
 def cholesky_with_jitter(V: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of V, adding one round of diagonal jitter if needed.
+    """Lower Cholesky factor of V (or the evaluator's k x k matrix B),
+    adding one round of diagonal jitter if needed.
 
     Returns (L, jitter) where jitter is 0.0 or the amount added to the
     diagonal; a nonzero jitter is logged as a warning on the ``mortcast``
-    logger, since the factor is then that of a different matrix. A second
-    factorization failure raises ``FactorizationError``.
+    logger with the matrix size, since the factor is then that of a
+    different matrix. A second failure raises ``FactorizationError``.
     """
     try:
         return scipy.linalg.cholesky(V, lower=True, check_finite=False), 0.0
@@ -264,7 +265,7 @@ def cholesky_with_jitter(V: np.ndarray) -> tuple[np.ndarray, float]:
             "covariance not positive definite even after jitter"
         ) from None
     _log.warning(
-        "covariance factorization needed jitter %.6g on the diagonal (N = %d)",
-        jitter, V.shape[0],
+        "covariance factorization needed jitter %.6g on the diagonal "
+        "(%d x %d matrix)", jitter, *V.shape,
     )
     return L, jitter

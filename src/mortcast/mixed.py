@@ -7,6 +7,9 @@ vectors are then recovered as conditional means given Y (BLUPs), and
 forecasts extend the cohort effect through its covariance with the
 training cohorts.
 
+The likelihood works in the column space of Z = [Z1 Z2 Z3] (q << N columns):
+an evaluation factors one k x k matrix, k < q, and never forms the N x N V.
+
 Hyperparameters are optimized in log space so positivity is structural,
 with a BFGS ascent and a backtracking line search; every accepted step
 increases the likelihood, so the trace is monotone by construction.
@@ -29,7 +32,6 @@ from .design import (
     build_forecast_covariances,
     cholesky_with_jitter,
     se_kernel,
-    _assemble_V_from_kernels,
 )
 from .errors import FactorizationError
 from .forecasts import Forecast
@@ -115,46 +117,72 @@ def _as_stacked(y, design: DesignSet) -> np.ndarray:
     return y
 
 
-class _Evaluation:
-    """V(params) factored once and solved against [T | y | Z1 | Z2 | Z3].
+class _Projection:
+    """Z = [Z1 Z2 Z3] = U R and y (grid or stacked) on range(Z), formed once
+    per (y, design).
 
-    Every mixed-model quantity reads from this one factor-and-solve: the
-    log-determinant, the GLS beta, a(beta) = V^-1 (y - T beta), the
-    Z_k' V^-1 Z_k and Z_k' V^-1 a blocks, and tr(V^-1) when a gradient asks
-    for it. V is dropped once factored; only its Cholesky factor is kept,
-    and V is never inverted explicitly. ``jitter`` is the diagonal inflation
-    the factorization needed (0.0 when V factored as is).
+    U (N x k) is an orthonormal basis of range(Z) from a thin SVD, dropping
+    singular values below s_max * max(N, q) * eps (Z1 1 = Z3 1, so k < q).
+    Kept: R (k x q), U'y and |y - U U'y|^2, the latter taken in N-space.
+    T = Z M, with M summing the Z1 block (intercept) and the Z2 block
+    (slope), so U'T = R M and T has no part outside range(Z).
     """
 
-    def __init__(self, y, params: KernelParams, design: DesignSet):
-        self.y = y
-        self.params = params
+    def __init__(self, y, design: DesignSet):
+        self.y = y = _as_stacked(y, design)
         self.design = design
-        self.kernels = build_covariances(params, design)
-        V = _assemble_V_from_kernels(params.sigma2, design, *self.kernels)
-        self.L, self.jitter = cholesky_with_jitter(V)
-        del V
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.L))))
-        rhs = np.column_stack([design.T, y, design.Z1, design.Z2, design.Z3])
-        S = scipy.linalg.cho_solve((self.L, True), rhs, check_finite=False)
-        m = design.n_ages
-        self.ViT, self.Viy = S[:, :2], S[:, 2]
-        self.ViZ = (S[:, 3 : 3 + m], S[:, 3 + m : 3 + 2 * m], S[:, 3 + 2 * m :])
+        Z = np.hstack([design.Z1, design.Z2, design.Z3])
+        U, s, Vt = scipy.linalg.svd(Z, full_matrices=False, check_finite=False)
+        k = int(np.sum(s > s[0] * max(Z.shape) * np.finfo(float).eps))
+        self.R = s[:k, None] * Vt[:k]
+        self.Uy = U[:, :k].T @ y
+        self.perp2 = float(np.sum((y - U[:, :k] @ self.Uy) ** 2))
 
-    def a(self, beta) -> np.ndarray:
-        """V^-1 (y - T beta)."""
-        return self.Viy - self.ViT @ beta
+
+class _Evaluation:
+    """The mixed model at one ``params``, in the column space of Z.
+
+    With Z = U R (:class:`_Projection`), V = sigma2 (I - U U') + U B U' for
+    the k x k matrix B = sigma2 I + R K R', K = blockdiag(K1, K2, K3). B is
+    factored once, B = L L', and one triangular solve whitens [U'y | R | I].
+    Every quantity is then a sum of nonnegative terms and no N x N matrix is
+    formed: log det V = (N - k) log sigma2 + log det B, y's part outside
+    range(Z) adds |y_perp|^2 / sigma2 to the quadratic form, Z' V^-1 Z =
+    R' B^-1 R and tr V^-1 = (N - k) / sigma2 + tr B^-1. ``jitter`` is the
+    diagonal inflation B's factorization needed (0.0 when B factored as is).
+    """
+
+    def __init__(self, proj: _Projection, params: KernelParams):
+        self.proj, self.params = proj, params
+        self.kernels = build_covariances(params, proj.design)
+        m, R = proj.design.n_ages, proj.R
+        k, q = R.shape
+        self.cols = (slice(0, m), slice(m, 2 * m), slice(2 * m, q))
+        B = np.hstack([R[:, c] @ K for c, K in zip(self.cols, self.kernels)]) @ R.T
+        B[np.diag_indices(k)] += params.sigma2
+        L, self.jitter = cholesky_with_jitter(B)
+        self.n_perp = proj.y.size - k
+        self.logdet = self.n_perp * math.log(params.sigma2) + 2.0 * float(
+            np.sum(np.log(np.diag(L))))
+        S = scipy.linalg.solve_triangular(
+            L, np.column_stack([proj.Uy, R, np.eye(k)]), lower=True, check_finite=False)
+        self.wy, self.X, self.Linv = S[:, 0], S[:, 1 : 1 + q], S[:, 1 + q :]
+        self.wT = np.column_stack([self.X[:, c].sum(axis=1) for c in self.cols[:2]])
+
+    def e(self, beta) -> np.ndarray:
+        """L^-1 U'(y - T beta), the whitened residual within range(Z)."""
+        return self.wy - self.wT @ beta
 
     def loglik(self, beta) -> float:
         """Gaussian log-density of y under N(T beta, V)."""
-        r = self.y - self.design.T @ beta
-        quad = float(r @ self.a(beta))
-        return -0.5 * self.logdet - 0.5 * quad - 0.5 * self.y.size * LOG2PI
+        e = self.e(beta)
+        quad = self.proj.perp2 / self.params.sigma2 + float(e @ e)
+        return -0.5 * self.logdet - 0.5 * quad - 0.5 * self.proj.y.size * LOG2PI
 
     @cached_property
     def G(self) -> np.ndarray:
         """T' V^-1 T."""
-        return self.design.T.T @ self.ViT
+        return self.wT.T @ self.wT
 
     @cached_property
     def beta(self) -> np.ndarray:
@@ -163,70 +191,49 @@ class _Evaluation:
         # 2x2 normal matrix; exact singularity only with a single distinct year
         if abs(np.linalg.det(G)) <= 1e-14 * (abs(G[0, 0] * G[1, 1]) + 1e-300):
             raise np.linalg.LinAlgError("collinear fixed-effects design (single year?)")
-        return np.linalg.solve(G, self.design.T.T @ self.Viy)
+        return np.linalg.solve(G, self.wT.T @ self.wy)
 
     @cached_property
     def ll(self) -> float:
         """Profile log-likelihood: the log-likelihood at the GLS beta."""
         return self.loglik(self.beta)
 
-    def blocks(self, a):
-        """(Z_k' V^-1 Z_k, Z_k' a) for the three random effects."""
-        d = self.design
-        return [(Z.T @ B, Z.T @ a) for Z, B in zip((d.Z1, d.Z2, d.Z3), self.ViZ)]
+    def blocks(self, beta):
+        """(Z_k' V^-1 Z_k, Z_k' a) for the three random effects, with
+        a = V^-1 (y - T beta), so Z' a = R' B^-1 U'(y - T beta)."""
+        e = self.e(beta)
+        return [(self.X[:, c].T @ self.X[:, c], self.X[:, c].T @ e) for c in self.cols]
 
     def gradient(self, beta) -> np.ndarray:
-        """Gradient of :meth:`loglik` in the order [h1, l1, h2, l2, c, s, sigma2]."""
-        p, d = self.params, self.design
-        a = self.a(beta)
-        ages = d.ages.astype(float)
-        dx2 = (ages[:, None] - ages[None, :]) ** 2
-        coh = d.cohort_index.astype(float)
-        dc2 = (coh[:, None] - coh[None, :]) ** 2
-
+        """Gradient of :meth:`loglik` in the order [h1, l1, h2, l2, c, s, sigma2]:
+        -1/2 tr(V^-1 dV) + 1/2 a' dV a with a = V^-1 (y - T beta)."""
+        p, d = self.params, self.proj.design
+        dx2 = np.subtract.outer(d.ages, d.ages).astype(float) ** 2
+        dc2 = np.subtract.outer(d.cohort_index, d.cohort_index).astype(float) ** 2
         g = np.empty(7)
         for slot, ((W, b), K, d2, amp, length) in enumerate(
-            zip(self.blocks(a), self.kernels, (dx2, dx2, dc2), (p.h1, p.h2, p.c),
+            zip(self.blocks(beta), self.kernels, (dx2, dx2, dc2), (p.h1, p.h2, p.c),
                 (p.l1, p.l2, p.s))
         ):
-            dKa, dKl = _kernel_partials(K, d2, amp, length)
-            g[2 * slot] = -0.5 * float(np.sum(W * dKa)) + 0.5 * float(b @ dKa @ b)
-            g[2 * slot + 1] = -0.5 * float(np.sum(W * dKl)) + 0.5 * float(b @ dKl @ b)
-
-        g[6] = -0.5 * _trace_inverse(self.L) + 0.5 * float(a @ a)
+            # dK / d amplitude and dK / d length for the 2 * length convention
+            for j, dK in enumerate(((2.0 / amp) * K, K * (d2 / (2.0 * length**2)))):
+                g[2 * slot + j] = -0.5 * float(np.sum(W * dK)) + 0.5 * float(b @ dK @ b)
+        # |a|^2 = |y_perp|^2 / sigma2^2 + |B^-1 U'(y - T beta)|^2
+        Bie = self.Linv.T @ self.e(beta)
+        trace = self.n_perp / p.sigma2 + float(np.sum(self.Linv * self.Linv))
+        g[6] = -0.5 * trace + 0.5 * (self.proj.perp2 / p.sigma2**2 + float(Bie @ Bie))
         return g
 
 
 def log_likelihood(y, beta, params: KernelParams, design: DesignSet) -> float:
-    """Gaussian log-density of Y under N(T beta, V(params)).
-
-    Computed through the Cholesky factor (log-determinant from the factor
-    diagonal, quadratic form via triangular solves); V is never inverted
-    explicitly.
-    """
-    y = _as_stacked(y, design)
-    return _Evaluation(y, params, design).loglik(np.asarray(beta, dtype=float))
+    """Gaussian log-density of Y under N(T beta, V(params)), from one
+    :class:`_Evaluation`: a k x k factorization (k < q); V is never formed."""
+    return _Evaluation(_Projection(y, design), params).loglik(np.asarray(beta, float))
 
 
 def gls_beta(y, params: KernelParams, design: DesignSet) -> np.ndarray:
     """Closed-form maximizer beta = (T' V^-1 T)^-1 T' V^-1 Y."""
-    return _Evaluation(_as_stacked(y, design), params, design).beta
-
-
-def _kernel_partials(K, dist2, amplitude, length):
-    """d K / d amplitude and d K / d length for the 2*length convention."""
-    dK_damp = (2.0 / amplitude) * K
-    dK_dlen = K * (dist2 / (2.0 * length**2))
-    return dK_damp, dK_dlen
-
-
-def _trace_inverse(L):
-    """tr(V^-1) from the lower Cholesky factor: squared Frobenius norm of
-    L^-1, inverted by LAPACK trtri. trtri fails only on an exactly zero
-    diagonal entry, which a Cholesky factor cannot have."""
-    (trtri,) = scipy.linalg.get_lapack_funcs(("trtri",), (L,))
-    Linv, _ = trtri(L, lower=1)
-    return float(np.sum(Linv * Linv))
+    return _Evaluation(_Projection(y, design), params).beta
 
 
 def grad_loglik(y, beta, params: KernelParams, design: DesignSet) -> np.ndarray:
@@ -237,27 +244,25 @@ def grad_loglik(y, beta, params: KernelParams, design: DesignSet) -> np.ndarray:
     -1/2 tr(V^-1 dV) + 1/2 r' V^-1 dV V^-1 r with r = Y - T beta, and
     dV/dsigma2 = I.
     """
-    y = _as_stacked(y, design)
-    return _Evaluation(y, params, design).gradient(np.asarray(beta, dtype=float))
+    return _Evaluation(_Projection(y, design), params).gradient(np.asarray(beta, float))
 
 
 class _ProfileObjective:
     """Profile log-likelihood (beta solved exactly) over log parameters.
 
     A boolean ``free`` mask selects which of the 7 log parameters are
-    optimized; the rest stay at their initial values. Each evaluation is
-    one :class:`_Evaluation`, which serves the likelihood, the gradient
-    and, for the winning one, the posterior.
+    optimized; the rest stay at their initial values. The projection onto
+    range(Z) is formed once for the whole fit; each evaluation is one
+    :class:`_Evaluation`, which serves the likelihood, the gradient and,
+    for the winning one, the posterior.
     """
 
     def __init__(self, y, design, free):
-        self.y = y
-        self.design = design
+        self.proj = _Projection(y, design)
         self.free = free
 
     def evaluate(self, u_full) -> _Evaluation:
-        params = KernelParams.from_array(np.exp(u_full))
-        return _Evaluation(self.y, params, self.design)
+        return _Evaluation(self.proj, KernelParams.from_array(np.exp(u_full)))
 
     def gradient(self, ev: _Evaluation):
         """Gradient of the profile LL wrt the free log parameters.
@@ -488,7 +493,7 @@ def _posterior(ev: _Evaluation, beta_cov_policy):
     Ginv = np.linalg.inv(ev.G)
     cov_beta = ev.params.sigma2 * Ginv if beta_cov_policy == "scaled" else Ginv
     moments = []
-    for (W, b), K in zip(ev.blocks(ev.a(ev.beta)), ev.kernels):
+    for (W, b), K in zip(ev.blocks(ev.beta), ev.kernels):
         moments += [K @ b, K - K @ W @ K]
     return FixedEffects(beta=ev.beta, cov_beta=cov_beta), RandomEffects(*moments)
 
@@ -498,8 +503,8 @@ def blup(y, fit: MixedFit) -> RandomEffects:
 
     Recomputed from the fitted hyperparameters; equals ``fit.random``.
     """
-    y = _as_stacked(y, fit.design)
-    _, random = _posterior(_Evaluation(y, fit.params, fit.design), fit.beta_cov_policy)
+    ev = _Evaluation(_Projection(y, fit.design), fit.params)
+    _, random = _posterior(ev, fit.beta_cov_policy)
     return random
 
 
@@ -556,8 +561,8 @@ def _extended(fit: MixedFit, horizon: int) -> tuple[DesignSet, RandomEffects]:
     d = fit.design
     dh = build_design(d.ages, d.train_years, horizon)
     K3_star, K3_star_star = build_forecast_covariances(fit.params, dh)
-    ev = _Evaluation(fit.y, fit.params, d)
-    W3, b3 = ev.blocks(ev.a(ev.beta))[2]
+    ev = _Evaluation(_Projection(fit.y, d), fit.params)
+    W3, b3 = ev.blocks(ev.beta)[2]
     return dh, replace(
         fit.random,
         gamma3=K3_star @ b3,

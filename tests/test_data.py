@@ -187,6 +187,8 @@ def _cell_by_cell_q(table, ages, years, clamp_q):
         for j, x in enumerate(ages):
             r = table.rates[table.lookup(t, x)]
             qx = central_to_initial(r) if table.rate_kind == "central" else float(r)
+            if math.isnan(qx):
+                raise NonFiniteLogitError("rate q is NaN", year=t, age=x)
             if qx <= 0.0:
                 if clamp_q is None:
                     raise NonFiniteLogitError("rate q <= 0", year=t, age=x)
@@ -227,6 +229,12 @@ class TestBuildSurface:
         table = _table_from_m([60, 61], [2000], [[0.0, 0.02]])
         s = build_surface(table, (60, 61), (2000, 2000), clamp_q=1e-6)
         assert s.q[0, 0] == 1e-6
+
+    def test_nan_qx_cell_is_named(self):
+        table = parse_table("year,age,qx\n2000,60,0.25\n2000,61,nan\n", "csv")
+        with pytest.raises(NonFiniteLogitError, match="NaN") as err:
+            build_surface(table, (60, 61), (2000, 2000), clamp_q=1e-6)
+        assert (err.value.year, err.value.age) == (2000, 61)
 
     def test_qx_table_skips_conversion(self):
         table = parse_table("year,age,qx\n2000,60,0.25\n", "csv")

@@ -389,7 +389,7 @@ class TestOneFactorization:
 
 class TestJitterReported:
     # sigma2 = 1e-20 on a design with N = 30 rows and only q = 18 random
-    # effect columns: V has rank 18 and needs the jitter round
+    # effect columns: the dense V has rank 18 and needs the jitter round
     DESIGN = dict(ages=range(60, 63), train_years=range(2000, 2010))
     PARAMS = KernelParams(h1=0.5, l1=10.0, h2=0.05, l2=10.0, c=0.3, s=20.0,
                           sigma2=1e-20)
@@ -400,9 +400,12 @@ class TestJitterReported:
                 and "jitter" in r.getMessage()]
 
     def test_evaluation_logs_jitter(self, caplog):
+        # the evaluator factors only the k x k matrix B = sigma2 I + R K R'
+        # on range(Z); a cohort length scale of 1e8 makes K3 rank 1 in
+        # practice, so B itself is numerically singular at sigma2 = 1e-20
         d = build_design(**self.DESIGN)
         with caplog.at_level("WARNING", logger="mortcast"):
-            log_likelihood(np.zeros(30), [0.0, 0.0], self.PARAMS, d)
+            log_likelihood(np.zeros(30), [0.0, 0.0], replace(self.PARAMS, s=1e8), d)
         assert len(self._jitter_warnings(caplog)) == 1
 
     def test_assemble_v_logs_jitter(self, caplog):
@@ -450,10 +453,13 @@ class TestJitteredTrialsRejected:
             assert ll in clean and ll not in jittered
 
     def test_noiseless_fit(self, evaluations):
-        # noiseless affine data drive sigma2 towards 0, where trial points
-        # need real jitter
+        # noiseless data with a smooth cohort effect drive sigma2 towards 0
+        # while the cohort kernel stays: B = sigma2 I + R K R' then loses
+        # rank, trial points need real jitter, and some of them would pass
+        # the line search if they were not rejected
         d = build_design(range(60, 65), range(1995, 2015))
-        f = fit(d.T @ np.array([-2.5, -0.06]), d, restarts=1)
+        cohort_effect = 0.05 * np.sin(d.cohort_index / 5.0)
+        f = fit(d.T @ np.array([-2.5, -0.06]) + d.Z3 @ cohort_effect, d, restarts=1)
         self.assert_trace_is_clean(f, evaluations)
 
     def test_every_other_factorization_jittered(self, rng, evaluations, monkeypatch):
