@@ -114,9 +114,6 @@ class BacktestReport:
     pooled: dict[tuple[str, int], float]
     failures: list[str] = field(default_factory=list)
 
-    def pooled_rmse(self, model: str, horizon: int) -> float:
-        return self.pooled[(model, horizon)]
-
 
 def _window_seed(plan_seed: int, model: str, horizon: int, window: int) -> int:
     ss = np.random.SeedSequence(

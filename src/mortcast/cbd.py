@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .data import cohort_labels, initial_to_central
+from .data import (
+    central_to_initial, cohort_cols, cohort_labels, initial_to_central, logit)
 from .forecasts import Forecast
 
 #: cohorts observed in fewer cells than this are dropped from the fit
@@ -67,10 +68,18 @@ class RwDrift:
     divisor: str = "n"
 
 
-def _cohort_cols(ages, years, cohorts) -> np.ndarray:
-    """(n, m) grid of indices into the cohort axis, entry (i, j) for t_i - x_j;
-    ``ages`` and ``years`` are int arrays."""
-    return (years[:, None] - ages[None, :]) - cohorts[0]
+def _checked_counts(D, E) -> tuple[np.ndarray, np.ndarray]:
+    """D and E as float arrays; every count must be finite, every exposure
+    strictly positive and every death count >= 0."""
+    D = np.asarray(D, dtype=float)
+    E = np.asarray(E, dtype=float)
+    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(E))):
+        raise ValueError("death counts and exposures must be finite")
+    if np.any(E <= 0):
+        raise ValueError("exposures must be strictly positive")
+    if np.any(D < 0):
+        raise ValueError("death counts must be >= 0")
+    return D, E
 
 
 def linear_predictor(kappa1, kappa2, gamma3, ages, years, cohorts=None) -> np.ndarray:
@@ -79,7 +88,7 @@ def linear_predictor(kappa1, kappa2, gamma3, ages, years, cohorts=None) -> np.nd
     years = np.asarray(years, dtype=int)
     if cohorts is None:
         cohorts = cohort_labels(ages, years)
-    cols = _cohort_cols(ages, years, cohorts)
+    cols = cohort_cols(ages, years, cohorts)
     w = ages - float(np.mean(ages))
     return (
         np.asarray(kappa1)[:, None]
@@ -101,12 +110,7 @@ def cbd_poisson_loglik(
     ``weights`` (0/1 per cell) drops cells of excluded cohorts; log(D!) is
     evaluated with log-gamma so non-integer synthesized counts are fine.
     """
-    D = np.asarray(D, dtype=float)
-    E = np.asarray(E, dtype=float)
-    if np.any(E <= 0):
-        raise ValueError("exposures must be strictly positive")
-    if np.any(D < 0):
-        raise ValueError("death counts must be >= 0")
+    D, E = _checked_counts(D, E)
     eta = linear_predictor(kappa1, kappa2, gamma3, ages, years)
     if not np.all(np.isfinite(eta)):
         raise ValueError("non-finite linear predictor")
@@ -156,11 +160,10 @@ def _cell_terms(eta, D, E):
     return U, H
 
 
-def _initial_curves(D, E, ages, years):
+def _initial_curves(D, E, w):
     m_hat = np.clip(D / E, 1e-10, None)
-    q_hat = np.clip(-np.expm1(-m_hat), 1e-12, 1.0 - 1e-12)
-    y_hat = np.log(q_hat) - np.log1p(-q_hat)
-    w = ages - float(np.mean(ages))
+    q_hat = np.clip(central_to_initial(m_hat), 1e-12, 1.0 - 1e-12)
+    y_hat = logit(q_hat)
     kappa1 = y_hat.mean(axis=1)
     kappa2 = (y_hat * w).sum(axis=1) / float(w @ w)
     return kappa1, kappa2
@@ -199,20 +202,15 @@ def fit_cbd(
     zero likelihood weight and their gamma stays 0. A sweep that fails to
     improve the likelihood is retried with halved Newton steps.
     """
-    D = np.asarray(D, dtype=float)
-    E = np.asarray(E, dtype=float)
     ages = np.asarray(ages, dtype=int)
     years = np.asarray(years, dtype=int)
     n, m = years.size, ages.size
+    D, E = _checked_counts(D, E)
     if D.shape != (n, m) or E.shape != (n, m):
         raise ValueError(f"D/E grids must have shape ({n}, {m})")
-    if np.any(E <= 0):
-        raise ValueError("exposures must be strictly positive")
-    if np.any(D < 0):
-        raise ValueError("death counts must be >= 0")
 
     cohorts = cohort_labels(ages, years)
-    cols = _cohort_cols(ages, years, cohorts)
+    cols = cohort_cols(ages, years, cohorts)
     counts = np.bincount(cols.ravel(), minlength=cohorts.size)
     included = counts >= min_cohort_cells
     if not np.any(included):
@@ -224,7 +222,7 @@ def fit_cbd(
     xw = ages - float(np.mean(ages))
     flat_cols = cols.ravel()
 
-    kappa1, kappa2 = _initial_curves(D, E, ages, years)
+    kappa1, kappa2 = _initial_curves(D, E, xw)
     gamma3 = np.zeros(cohorts.size)
 
     def eta_of(k1, k2, g3):
@@ -387,7 +385,7 @@ def forecast_cbd(
 
     load = np.column_stack([np.ones(fit.ages.size), fit.ages - fit.x_bar])
     kappa_var = np.einsum("ja,ab,jb->j", load, drift.V, load)
-    cohort_steps = ahead[_cohort_cols(fit.ages, years_fc, cohorts)]
+    cohort_steps = ahead[cohort_cols(fit.ages, years_fc, cohorts)]
     var_fc = steps[:, None] * kappa_var[None, :] + cohort_steps * drift.var_dgamma
 
     in_sample = fitted_logit(fit)

@@ -97,6 +97,12 @@ def cohort_labels(ages, years) -> np.ndarray:
     return np.arange(years[0] - ages[-1], years[-1] - ages[0] + 1)
 
 
+def cohort_cols(ages, years, cohorts) -> np.ndarray:
+    """(n, m) grid of indices into the cohort axis ``cohorts``, entry (i, j)
+    for the cohort t_i - x_j; ``ages`` and ``years`` are int arrays."""
+    return (years[:, None] - ages[None, :]) - cohorts[0]
+
+
 @dataclass(frozen=True)
 class RawMortalityTable:
     """Long-format mortality rows keyed by (year, age).
@@ -320,11 +326,11 @@ class MortalitySurface:
                 f"grid shape {q.shape} does not match "
                 f"{years.size} years x {ages.size} ages"
             )
-        if np.any(q <= 0.0) or np.any(q >= 1.0):
+        if not np.all((q > 0.0) & (q < 1.0)):  # NaN fails both comparisons
             raise NonFiniteLogitError("surface rate outside (0, 1)")
         if not np.all(np.isfinite(y)):
             raise NonFiniteLogitError("non-finite logit in surface")
-        if np.max(np.abs(y - (np.log(q) - np.log1p(-q)))) > 1e-12:
+        if np.max(np.abs(y - logit(q))) > 1e-12:
             raise ValueError("y grid is not the logit of the q grid")
         object.__setattr__(self, "ages", ages)
         object.__setattr__(self, "years", years)

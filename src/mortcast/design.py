@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import cohort_labels, consecutive_axis
+from .data import cohort_cols, cohort_labels, consecutive_axis
 from .errors import FactorizationError
 
 #: Diagonal inflation applied once, relative to mean(diag(V)), when a
@@ -74,8 +74,6 @@ class DesignSet:
     With n training years, m ages and forecast horizon h, the stacked system
     has N = (n + h) * m rows in age-major order. ``T`` is N x 2, ``Z1`` and
     ``Z2`` are N x m, ``Z3`` is N x (n + h + m - 1) over ``cohort_index``.
-    ``row_age``/``row_year``/``row_cohort`` give each row's index into the
-    age, year and cohort axes.
     """
 
     ages: np.ndarray
@@ -87,9 +85,6 @@ class DesignSet:
     Z2: np.ndarray
     Z3: np.ndarray
     cohort_index: np.ndarray
-    row_age: np.ndarray
-    row_year: np.ndarray
-    row_cohort: np.ndarray
 
     @property
     def n_train(self) -> int:
@@ -136,9 +131,8 @@ def build_design(ages, train_years, horizon: int = 0) -> DesignSet:
     cohort_index = cohort_labels(ages, years)
 
     row_age = np.repeat(np.arange(m), n_all)
-    row_year = np.tile(np.arange(n_all), m)
-    tau = years[row_year] - t_bar
-    row_cohort = (years[row_year] - ages[row_age]) - cohort_index[0]
+    row_cohort = cohort_cols(ages, years, cohort_index).T.ravel()
+    tau = np.tile(years - t_bar, m)
 
     T = np.column_stack([np.ones(N), tau])
     rows = np.arange(N)
@@ -159,9 +153,6 @@ def build_design(ages, train_years, horizon: int = 0) -> DesignSet:
         Z2=Z2,
         Z3=Z3,
         cohort_index=cohort_index,
-        row_age=row_age,
-        row_year=row_year,
-        row_cohort=row_cohort,
     )
 
 
@@ -215,31 +206,19 @@ def build_forecast_covariances(
 def assemble_V(params: KernelParams, design: DesignSet) -> np.ndarray:
     """Marginal covariance V = Z1 K1 Z1' + Z2 K2 Z2' + Z3 K3 Z3' + sigma2 I.
 
-    The returned matrix is exact (no jitter); positive definiteness is
-    verified via the shared jitter policy (a jittered check is logged) and
-    failure raises ``FactorizationError``.
+    Built from the definition, for ``--dump-matrices`` and dense checks; the
+    likelihood engine never forms V. The returned matrix is exact (no
+    jitter); positive definiteness is verified via the shared jitter policy
+    (a jittered check is logged) and failure raises ``FactorizationError``.
     """
     if design.horizon != 0:
         raise ValueError("assemble_V expects a training design (horizon 0)")
     K1, K2, K3 = build_covariances(params, design)
-    V = _assemble_V_from_kernels(params.sigma2, design, K1, K2, K3)
+    V = (design.Z1 @ K1) @ design.Z1.T
+    V += (design.Z2 @ K2) @ design.Z2.T
+    V += (design.Z3 @ K3) @ design.Z3.T
+    V[np.diag_indices_from(V)] += params.sigma2
     cholesky_with_jitter(V)  # validate on a copy; degenerate params fail here
-    return V
-
-
-def _assemble_V_from_kernels(sigma2, design, K1, K2, K3) -> np.ndarray:
-    # the incidence matrices are one-hot per row, so each sandwich product
-    # is a gather: (Z K Z')[r, s] = K[label_r, label_s] (times the centered
-    # times for the slope block); this avoids O(N^2 m) dense matmuls
-    ra, rc = design.row_age, design.row_cohort
-    tau = design.T[:, 1]
-    V = K1[np.ix_(ra, ra)]
-    slope = K2[np.ix_(ra, ra)]
-    slope *= tau[:, None]
-    slope *= tau[None, :]
-    V += slope
-    V += K3[np.ix_(rc, rc)]
-    V[np.diag_indices_from(V)] += sigma2
     return V
 
 

@@ -131,6 +131,20 @@ class TestPoissonLoglik:
             cbd_poisson_loglik([0.0], [0.0], [0.0], ages, years,
                                np.array([[-1.0]]), np.array([[10.0]]))
 
+    @pytest.mark.parametrize("grid, value", [(0, np.nan), (1, np.nan), (1, np.inf)],
+                             ids=["nan-D", "nan-E", "inf-E"])
+    @pytest.mark.parametrize("func", ["fit_cbd", "cbd_poisson_loglik"])
+    def test_non_finite_counts_rejected(self, func, grid, value):
+        ages, years = np.arange(60, 66), np.arange(2000, 2010)
+        counts = exact_counts(ages, years, *true_curves(ages, years))
+        counts[grid][3, 2] = value
+        D, E = counts
+        with pytest.raises(ValueError, match="finite"):
+            if func == "fit_cbd":
+                fit_cbd(D, E, ages, years)
+            else:
+                cbd_poisson_loglik(*true_curves(ages, years), ages, years, D, E)
+
 
 class TestFitCbd:
     def test_large_exposure_consistency(self):

@@ -350,6 +350,7 @@ class TestImportHygiene:
             "import mortcast\n"
             "assert 'numpy' not in sys.modules, 'import mortcast loaded numpy'\n"
             "import mortcast.cli\n"
+            "assert 'scipy.stats' not in sys.modules, 'mortcast.cli loaded scipy.stats'\n"
             "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', "
             "'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))\n"
         )

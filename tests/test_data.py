@@ -337,6 +337,11 @@ class TestSurfaceValidation:
                 y=small_surface.y + 1e-6,
             )
 
+    def test_rejects_nan_rate(self):
+        with pytest.raises(NonFiniteLogitError, match="outside"):
+            MortalitySurface(ages=[60, 61], years=[2000], q=[[np.nan, 0.02]],
+                             y=[[-3.0, logit(0.02)]])
+
 
 class TestSplit:
     def test_documented_split(self, rng):

@@ -111,13 +111,14 @@ class TestBuildDesign:
         np.testing.assert_array_equal((d.Z2 != 0) | (d.T[:, 1][:, None] == 0),
                                       (d.Z1 != 0) | (d.T[:, 1][:, None] == 0))
         # cohort label of each row is year - age
-        years = d.years
-        labels = d.cohort_index[d.row_cohort]
+        row_age = d.Z1.argmax(axis=1)
+        row_cohort = d.Z3.argmax(axis=1)
+        labels = d.cohort_index[row_cohort]
         np.testing.assert_array_equal(
-            labels, years[d.row_year] - d.ages[d.row_age]
+            labels, d.T[:, 1] + d.t_bar - d.ages[row_age]
         )
         # column sums of Z3 count the cells sharing each cohort
-        counts = np.bincount(d.row_cohort, minlength=d.cohort_index.size)
+        counts = np.bincount(row_cohort, minlength=d.cohort_index.size)
         np.testing.assert_array_equal(d.Z3.sum(axis=0), counts)
 
     def test_empty_axes_rejected(self):

@@ -141,7 +141,7 @@ def test_no_dense_V_on_the_hot_path(rng, tmp_path, monkeypatch):
 
     for name, mod in list(sys.modules.items()):
         if name == "mortcast" or name.startswith("mortcast."):
-            for attr, fn in (("_assemble_V_from_kernels", no_dense_V),
+            for attr, fn in (("assemble_V", no_dense_V),
                              ("cholesky_with_jitter", sized_chol)):
                 if hasattr(mod, attr):
                     monkeypatch.setattr(mod, attr, fn)

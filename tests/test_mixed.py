@@ -286,6 +286,12 @@ class TestForecast:
         )
         assert normal_quantile(0.05) == pytest.approx(1.959964, abs=5e-7)
 
+    def test_quantile_is_the_normal_ppf(self):
+        import scipy.stats
+
+        for alpha in np.linspace(1e-6, 1.0 - 1e-6, 2001):
+            assert normal_quantile(alpha) == scipy.stats.norm.ppf(1.0 - alpha / 2.0)
+
     def test_variance_floor_is_noise(self, rng):
         d = build_design([60, 61, 62], range(2000, 2010))
         p = random_params(rng)
