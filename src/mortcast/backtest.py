@@ -94,6 +94,10 @@ class BacktestPlan:
 
 @dataclass(frozen=True)
 class WindowResult:
+    """One (model, horizon, window) task. ``converged`` and ``n_iter`` come
+    from the window's fit (BFGS iterations for mixed, Newton sweeps for
+    CBD); a window whose fit failed has neither (False, 0)."""
+
     model: str
     horizon: int
     window: int
@@ -101,6 +105,8 @@ class WindowResult:
     target_year: int
     rmse: float
     errors: np.ndarray | None
+    converged: bool = False
+    n_iter: int = 0
     failed: bool = False
     message: str = ""
 
@@ -138,6 +144,7 @@ def _run_window(surface, deaths, exposures, plan, model, horizon, window, t_l):
                 seed=_window_seed(plan.seed, model, horizon, window),
             )
             fc = mixed_mod.forecast(fit, horizon)
+            n_iter = fit.n_iter
         else:
             if deaths is not None and exposures is not None:
                 Dw, Ew = deaths[:k], exposures[:k]
@@ -148,6 +155,7 @@ def _run_window(surface, deaths, exposures, plan, model, horizon, window, t_l):
             fit = cbd_mod.fit_cbd(Dw, Ew, surface.ages, train_years)
             drift = cbd_mod.estimate_rw(fit, divisor=plan.rw_divisor)
             fc = cbd_mod.forecast_cbd(fit, drift, horizon)
+            n_iter = fit.n_sweeps
         pred, _ = fc.year_slice(int(target_year))
     except _MODEL_ERRORS as exc:  # fit failures are reported, not fatal
         return WindowResult(
@@ -170,6 +178,8 @@ def _run_window(surface, deaths, exposures, plan, model, horizon, window, t_l):
         target_year=int(target_year),
         rmse=rmse_curve(pred, actual),
         errors=errors,
+        converged=bool(fit.converged),
+        n_iter=int(n_iter),
     )
 
 
@@ -209,7 +219,8 @@ def run_backtest(
     worker is available (``MORTCAST_THREADS`` caps the count); results are
     merged by key, so the report does not depend on scheduling. Windows
     whose fit fails are excluded from the pooled average and listed in
-    ``report.failures``.
+    ``report.failures``; windows whose fit stopped without converging stay
+    in the pooled average and are flagged per result (``converged``).
     """
     plan.check_surface(surface)
     if (deaths is None) != (exposures is None):
@@ -335,6 +346,8 @@ def _emit_json(report: BacktestReport) -> str:
                 "train_end": r.train_end,
                 "target_year": r.target_year,
                 "rmse": None if r.failed else r.rmse,
+                "converged": None if r.failed else r.converged,
+                "n_iter": None if r.failed else r.n_iter,
                 "failed": r.failed,
                 "message": r.message,
             }
@@ -372,4 +385,11 @@ def _emit_markdown(report: BacktestReport) -> str:
         out.write("\nExcluded windows:\n")
         for f in report.failures:
             out.write(f"- {f}\n")
+    unconverged = [r for r in report.results if not (r.failed or r.converged)]
+    if unconverged:
+        out.write("\nNon-converged windows (kept in the pooled RMSE):\n")
+        for r in unconverged:
+            unit = "sweeps" if r.model == "cbd" else "iterations"
+            out.write(f"- {r.model} h={r.horizon} window={r.window} "
+                      f"(train to {r.train_end}): stopped after {r.n_iter} {unit}\n")
     return out.getvalue()

@@ -15,13 +15,19 @@ series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .data import (
-    central_to_initial, cohort_cols, cohort_labels, initial_to_central, logit)
+    central_to_initial,
+    cohort_cols,
+    cohort_labels,
+    initial_to_central,
+    inverse_logit,
+    logit,
+)
 from .forecasts import Forecast
 
 #: cohorts observed in fewer cells than this are dropped from the fit
@@ -115,15 +121,27 @@ def cbd_poisson_loglik(
     if not np.all(np.isfinite(eta)):
         raise ValueError("non-finite linear predictor")
     w = 1.0 if weights is None else np.asarray(weights, dtype=float)
-    log_factorials = np.sum(w * scipy.special.gammaln(D + 1.0))
+    log_factorials = np.sum(w * _log_factorial(D))
     return _poisson_loglik(eta, w * D, w * E, log_factorials)
+
+
+def _log_factorial(D) -> np.ndarray:
+    """log(D!) = lgamma(D + 1) per cell; D need not be an integer."""
+    D1 = np.asarray(D, dtype=float) + 1.0
+    lg = map(math.lgamma, D1.ravel().tolist())
+    return np.fromiter(lg, float, D1.size).reshape(D1.shape)
 
 
 def _poisson_loglik(eta, wD, wE, log_factorials) -> float:
     """Weighted Poisson log-likelihood from weighted counts and exposures;
-    ``log_factorials`` is the weighted sum of log(D!), constant per fit."""
+    ``log_factorials`` is the weighted sum of log(D!), constant per fit.
+
+    D log(mu) is taken as 0 where the weighted count is 0, as
+    lim_{D -> 0} D log(mu); that includes excluded cells, where mu = 0.
+    """
     mu = wE * death_rate(eta)
-    return float(np.sum(scipy.special.xlogy(wD, mu) - mu) - log_factorials)
+    log_mu = np.log(mu, out=np.zeros_like(mu), where=wD != 0)
+    return float(np.sum(wD * log_mu - mu) - log_factorials)
 
 
 def transform_parameters(kappa1, kappa2, gamma3, phi1, phi2, ages, years):
@@ -150,7 +168,7 @@ def _cell_terms(eta, D, E):
     underflow point. H < 0 everywhere, so Newton steps are well defined.
     """
     m = np.maximum(np.logaddexp(0.0, eta), 1e-300)
-    sig = scipy.special.expit(eta)
+    sig = inverse_logit(eta)
     dsig = sig * (1.0 - sig)
     low = eta < -30.0
     r1 = np.where(low, 1.0, sig / m)
@@ -228,7 +246,7 @@ def fit_cbd(
     def eta_of(k1, k2, g3):
         return k1[:, None] + k2[:, None] * xw[None, :] + g3[cols]
 
-    log_factorials = np.sum(w * scipy.special.gammaln(D + 1.0))
+    log_factorials = np.sum(w * _log_factorial(D))
 
     def ll_of(eta):
         return _poisson_loglik(eta, wD, wE, log_factorials)

@@ -74,9 +74,13 @@ def logit(q):
 
 
 def inverse_logit(y):
-    """Logistic map exp(y) / (1 + exp(y)), numerically stable for large |y|."""
+    """Logistic map 1 / (1 + exp(-y)), split by sign so exp never overflows:
+    with z = exp(-|y|) in (0, 1], it is 1 / (1 + z) for y >= 0 and z / (1 + z)
+    below. Underflow of z to 0 (|y| > 745) is the correctly rounded limit."""
     y = np.asarray(y, dtype=float)
-    q = np.where(y >= 0, 1.0 / (1.0 + np.exp(-y)), np.exp(y) / (1.0 + np.exp(y)))
+    with np.errstate(under="ignore"):
+        z = np.exp(-np.abs(y))
+        q = np.where(y >= 0, 1.0, z) / (1.0 + z)
     return q if q.ndim else float(q)
 
 

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import cohort_cols, cohort_labels, consecutive_axis
 from .errors import FactorizationError
@@ -229,17 +228,22 @@ def cholesky_with_jitter(V: np.ndarray) -> tuple[np.ndarray, float]:
     Returns (L, jitter) where jitter is 0.0 or the amount added to the
     diagonal; a nonzero jitter is logged as a warning on the ``mortcast``
     logger with the matrix size, since the factor is then that of a
-    different matrix. A second failure raises ``FactorizationError``.
+    different matrix. L comes from ``numpy.linalg.cholesky`` (LAPACK
+    ``potrf``), with its upper triangle exactly 0. A matrix with a NaN or
+    infinite entry, which LAPACK would factor into NaNs, or a second
+    failure raises ``FactorizationError``.
     """
+    if not np.all(np.isfinite(V)):
+        raise FactorizationError("covariance has non-finite entries")
     try:
-        return scipy.linalg.cholesky(V, lower=True, check_finite=False), 0.0
-    except scipy.linalg.LinAlgError:
+        return np.linalg.cholesky(V), 0.0
+    except np.linalg.LinAlgError:
         pass
     jitter = JITTER_REL * float(np.mean(np.diag(V)))
     Vj = V + jitter * np.eye(V.shape[0])
     try:
-        L = scipy.linalg.cholesky(Vj, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        L = np.linalg.cholesky(Vj)
+    except np.linalg.LinAlgError:
         raise FactorizationError(
             "covariance not positive definite even after jitter"
         ) from None

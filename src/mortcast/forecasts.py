@@ -5,14 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 
 def normal_quantile(alpha: float) -> float:
-    """z such that a mean +/- z * sd band has coverage 1 - alpha."""
+    """z such that a mean +/- z * sd band has coverage 1 - alpha.
+
+    ``ndtri`` is imported here, not at module level: only prediction
+    intervals need it, so ``fit`` and ``backtest`` never load its package.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    return float(scipy.special.ndtri(1.0 - alpha / 2.0))
+    from scipy.special import ndtri
+
+    return float(ndtri(1.0 - alpha / 2.0))
 
 
 @dataclass(frozen=True)

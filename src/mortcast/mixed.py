@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .design import (
     DesignSet,
@@ -132,11 +131,26 @@ class _Projection:
         self.y = y = _as_stacked(y, design)
         self.design = design
         Z = np.hstack([design.Z1, design.Z2, design.Z3])
-        U, s, Vt = scipy.linalg.svd(Z, full_matrices=False, check_finite=False)
+        U, s, Vt = np.linalg.svd(Z, full_matrices=False)
         k = int(np.sum(s > s[0] * max(Z.shape) * np.finfo(float).eps))
         self.R = s[:k, None] * Vt[:k]
         self.Uy = U[:, :k].T @ y
         self.perp2 = float(np.sum((y - U[:, :k] @ self.Uy) ** 2))
+
+
+def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^-1 B for lower-triangular L, by forward substitution over blocks of
+    32 rows.
+
+    Block i is X_i = L_ii^-1 (B_i - L_i,<i X_<i), with the small diagonal
+    block inverted explicitly, so nearly all the work is two matrix
+    products per block.
+    """
+    X = np.empty(B.shape)
+    for i in range(0, L.shape[0], 32):
+        j = i + 32
+        X[i:j] = np.linalg.inv(L[i:j, i:j]) @ (B[i:j] - L[i:j, :i] @ X[:i])
+    return X
 
 
 class _Evaluation:
@@ -144,7 +158,8 @@ class _Evaluation:
 
     With Z = U R (:class:`_Projection`), V = sigma2 (I - U U') + U B U' for
     the k x k matrix B = sigma2 I + R K R', K = blockdiag(K1, K2, K3). B is
-    factored once, B = L L', and one triangular solve whitens [U'y | R | I].
+    factored once, B = L L', and one blocked forward substitution
+    (:func:`_forward_solve`) whitens [U'y | R | I].
     Every quantity is then a sum of nonnegative terms and no N x N matrix is
     formed: log det V = (N - k) log sigma2 + log det B, y's part outside
     range(Z) adds |y_perp|^2 / sigma2 to the quadratic form, Z' V^-1 Z =
@@ -164,8 +179,7 @@ class _Evaluation:
         self.n_perp = proj.y.size - k
         self.logdet = self.n_perp * math.log(params.sigma2) + 2.0 * float(
             np.sum(np.log(np.diag(L))))
-        S = scipy.linalg.solve_triangular(
-            L, np.column_stack([proj.Uy, R, np.eye(k)]), lower=True, check_finite=False)
+        S = _forward_solve(L, np.column_stack([proj.Uy, R, np.eye(k)]))
         self.wy, self.X, self.Linv = S[:, 0], S[:, 1 : 1 + q], S[:, 1 + q :]
         self.wT = np.column_stack([self.X[:, c].sum(axis=1) for c in self.cols[:2]])
 

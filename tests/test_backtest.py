@@ -227,6 +227,44 @@ class TestFailureHandling:
         assert np.isfinite(report.pooled[("mixed", 2)])
 
 
+class TestNonConvergedWindows:
+    def test_flagged_in_reports_and_kept_in_pool(self, monkeypatch):
+        # seven ages and mild noise: every CBD window converges unforced
+        surface = cbd_exact_surface((60, 66), (1985, 2010))
+        y = surface.y + 0.01 * np.random.default_rng(5).standard_normal(surface.y.shape)
+        q = inverse_logit(y)
+        surface = MortalitySurface(ages=surface.ages, years=surface.years,
+                                   q=q, y=np.log(q) - np.log1p(-q))
+        plan = BacktestPlan(ages=(60, 66), horizons=(2, 4), windows=3,
+                            models=("cbd",), workers=1)
+        real_fit = bt.cbd_mod.fit_cbd
+
+        def stopped_fit(D, E, ages, years, **kw):
+            if years[-1] == 2005:
+                kw["max_sweeps"] = 1
+            return real_fit(D, E, ages, years, **kw)
+
+        monkeypatch.setattr(bt.cbd_mod, "fit_cbd", stopped_fit)
+        report = run_backtest(plan, surface)
+        stopped = [r for r in report.results if not r.converged]
+        assert [(r.horizon, r.train_end, r.n_iter) for r in stopped] == [(4, 2005, 1)]
+        assert not report.failures and not any(r.failed for r in report.results)
+        assert all(r.n_iter > 1 for r in report.results if r.converged)
+
+        rows = json.loads(emit_report(report, "json"))["results"]
+        assert [(r["horizon"], r["window"], r["n_iter"]) for r in rows
+                if not r["converged"]] == [(4, stopped[0].window, 1)]
+        md = emit_report(report, "markdown-table")
+        assert "Non-converged windows" in md
+        assert (f"- cbd h=4 window={stopped[0].window} (train to 2005): "
+                "stopped after 1 sweeps") in md
+        # the stopped window still counts in its horizon's pooled RMSE
+        rows4 = [r for r in report.results if r.horizon == 4]
+        total = sum(float(np.sum(r.errors**2)) for r in rows4)
+        pooled = report.pooled[("cbd", 4)]
+        assert pooled**2 * (len(rows4) * surface.ages.size) == pytest.approx(total, rel=1e-12)
+
+
 @pytest.fixture(scope="module")
 def report():
     surface = cbd_exact_surface((60, 63), (1985, 2008))

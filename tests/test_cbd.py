@@ -5,6 +5,7 @@ import pytest
 
 from mortcast.cbd import (
     CbdFit,
+    _log_factorial,
     cbd_poisson_loglik,
     cohort_labels,
     death_rate,
@@ -16,6 +17,7 @@ from mortcast.cbd import (
     synthesize_counts,
     transform_parameters,
 )
+from mortcast.data import inverse_logit
 
 
 def true_curves(ages, years, cohort_amp=0.05):
@@ -144,6 +146,67 @@ class TestPoissonLoglik:
                 fit_cbd(D, E, ages, years)
             else:
                 cbd_poisson_loglik(*true_curves(ages, years), ages, years, D, E)
+
+
+def _ulps(a, b):
+    """|a - b| in units of the last place of the larger of the two."""
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+class TestKernelsAgainstScipy:
+    """The numpy/stdlib Poisson kernels against scipy.special oracles,
+    including the q = 0 stress cases: cells with no deaths and cells with
+    zero weight (and so zero expected deaths)."""
+
+    def test_logistic_matches_expit(self):
+        from scipy.special import expit
+
+        named = np.array([-800.0, -30.0, -1e-300, 0.0, 30.0, 800.0])
+        grid = np.linspace(-800.0, 800.0, 160_001)
+        with np.errstate(all="raise"):
+            got_named, got = inverse_logit(named), inverse_logit(grid)
+        assert np.all(_ulps(got_named, expit(named)) <= 2)
+        assert isinstance(inverse_logit(-800.0), float)
+        # numpy's exp and the C library's differ in the last place, so the
+        # two routes can land 3 ulp apart (2 points of this grid); each is
+        # within 2 ulp of the logistic taken in extended precision. Below
+        # eta = -709.78 expit's exp(-eta) overflows and it returns 0 where
+        # the exact value is subnormal, so it is compared only above that.
+        ref = expit(grid)
+        normal = ref >= np.finfo(float).tiny
+        assert np.all(_ulps(got[normal], ref[normal]) <= 3)
+        if np.finfo(np.longdouble).nmant >= 63:
+            with np.errstate(under="ignore"):
+                exact = (1.0 / (1.0 + np.exp(-grid.astype(np.longdouble)))).astype(float)
+            assert np.all(_ulps(got, exact) <= 2)
+
+    def test_loglik_with_empty_and_unweighted_cells(self):
+        from scipy.special import gammaln, xlogy
+
+        ages, years = np.arange(60, 66), np.arange(2000, 2010)
+        k1, k2, g3 = true_curves(ages, years)
+        D, E = exact_counts(ages, years, k1, k2, g3, exposure=500.0)
+        D[0] = 0.0                      # a year without deaths
+        D[4, 2] = 0.0
+        w = np.ones_like(D)
+        w[:, 0] = 0.0                   # unweighted cells: mu = 0 there
+        w[7, 3] = 0.0
+        with np.errstate(divide="raise", invalid="raise"):
+            ll = cbd_poisson_loglik(k1, k2, g3, ages, years, D, E, weights=w)
+        mu = w * E * death_rate(linear_predictor(k1, k2, g3, ages, years))
+        expected = np.sum(xlogy(w * D, mu) - mu) - np.sum(w * gammaln(D + 1.0))
+        assert np.isfinite(ll)
+        assert ll == pytest.approx(expected, rel=1e-12)
+
+    def test_log_factorials_match_gammaln(self):
+        from scipy.special import gammaln
+
+        q = inverse_logit(np.linspace(-9.0, -0.5, 600)).reshape(20, 30)
+        D, _ = synthesize_counts(q, exposure=2e3)
+        D = np.concatenate([[0.0, 0.5, 1.0, 1.5, 2.0], D.ravel()])
+        assert np.any(D != np.round(D))
+        np.testing.assert_allclose(_log_factorial(D), gammaln(D + 1.0),
+                                   rtol=1e-13, atol=1e-15)
 
 
 class TestFitCbd:

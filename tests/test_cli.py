@@ -1,13 +1,16 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_surface, surface_to_mx_csv
 
+import mortcast
 from mortcast import artifacts
 from mortcast.cli import EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, RunConfig, main
 from mortcast.data import initial_to_central, inverse_logit
@@ -358,3 +361,55 @@ class TestImportHygiene:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [blas] * 3
+
+    def test_fit_and_backtest_load_no_scipy(self):
+        code = (
+            "import sys\n"
+            "def no_scipy(when):\n"
+            "    assert 'scipy' not in sys.modules, f'scipy loaded {when}'\n"
+            "import mortcast.cli\n"
+            "no_scipy('by import mortcast.cli')\n"
+            "import numpy as np\n"
+            "from mortcast.backtest import BacktestPlan, run_backtest\n"
+            "from mortcast.cbd import fit_cbd, synthesize_counts\n"
+            "from mortcast.data import MortalitySurface, inverse_logit\n"
+            "from mortcast.design import KernelParams, build_design\n"
+            "from mortcast.mixed import fit, simulate, unstack_vector\n"
+            "d = build_design(range(60, 64), range(1990, 2010))\n"
+            "p = KernelParams(0.4, 16.0, 0.05, 16.0, 0.25, 30.0, 0.01)\n"
+            "y = simulate(d, p, [-3.0, -0.03], np.random.default_rng(0))\n"
+            "fit(y, d, restarts=1)\n"
+            "grid = unstack_vector(y, d.n_train, d.n_ages)\n"
+            "q = inverse_logit(grid)\n"
+            "fit_cbd(*synthesize_counts(q), d.ages, d.train_years)\n"
+            "surface = MortalitySurface(ages=d.ages, years=d.train_years, q=q, y=grid)\n"
+            "run_backtest(BacktestPlan(ages=(60, 63), horizons=(2,), windows=2,\n"
+            "                          restarts=1, workers=1), surface)\n"
+            "no_scipy('by a mixed fit, a CBD fit or a backtest')\n"
+            "import mortcast.forecasts\n"
+            "no_scipy('by import mortcast.forecasts')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_module_level_scipy_import(self):
+        """Only a function body may import scipy: module and class bodies
+        run at import time."""
+        offenders = []
+        for path in sorted(Path(mortcast.__file__).parent.glob("*.py")):
+            stack = list(ast.parse(path.read_text(), str(path)).body)
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    names = []
+                if any(n.split(".")[0] == "scipy" for n in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+                stack.extend(ast.iter_child_nodes(node))
+        assert not offenders, f"module-level scipy imports: {offenders}"

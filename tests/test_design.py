@@ -276,3 +276,20 @@ class TestJitterPolicy:
         V = np.diag([1.0, -1.0])
         with pytest.raises(FactorizationError):
             cholesky_with_jitter(V)
+
+    @pytest.mark.parametrize("entry", [(1, 1), (2, 0)], ids=["diagonal", "off-diagonal"])
+    def test_nan_entry_fails_hard(self, entry):
+        # LAPACK factors a NaN into a NaN factor instead of failing
+        V = 2.0 * np.eye(3) + 0.5
+        V[entry] = V[entry[::-1]] = np.nan
+        with pytest.raises(FactorizationError):
+            cholesky_with_jitter(V)
+
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_factor_is_exactly_lower_triangular(self, rng, jittered):
+        A = rng.standard_normal((6, 6))
+        V = np.ones((6, 6)) if jittered else A @ A.T + 6.0 * np.eye(6)
+        L, jitter = cholesky_with_jitter(V)
+        assert (jitter > 0.0) == jittered
+        assert np.all(np.triu(L, 1) == 0.0)
+        np.testing.assert_allclose(L @ L.T, V + jitter * np.eye(6), atol=1e-12)
