@@ -13,6 +13,7 @@ import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -74,6 +75,8 @@ class BacktestPlan:
             raise ValueError("windows must be >= 1")
         if not self.horizons or any(h < 1 for h in self.horizons):
             raise ValueError("horizons must be positive")
+        if len(set(self.horizons)) != len(self.horizons):
+            raise ValueError("horizons must be distinct")
         bad = [m for m in self.models if m not in MODELS]
         if bad:
             raise ValueError(f"unknown model(s) {bad}; choose from {MODELS}")
@@ -94,9 +97,12 @@ class BacktestPlan:
 
 @dataclass(frozen=True)
 class WindowResult:
-    """One (model, horizon, window) task. ``converged`` and ``n_iter`` come
-    from the window's fit (BFGS iterations for mixed, Newton sweeps for
-    CBD); a window whose fit failed has neither (False, 0)."""
+    """One (model, horizon, window) task, scored on its target year's curve.
+
+    Tasks that share a training end share one fit: ``converged`` and
+    ``n_iter`` are that fit's (BFGS iterations for mixed, Newton sweeps for
+    CBD), and if it failed, every task it serves is failed with the same
+    ``message`` and has neither (False, 0)."""
 
     model: str
     horizon: int
@@ -121,19 +127,20 @@ class BacktestReport:
     failures: list[str] = field(default_factory=list)
 
 
-def _window_seed(plan_seed: int, model: str, horizon: int, window: int) -> int:
+def _window_seed(plan_seed: int, model: str, train_end: int) -> int:
     ss = np.random.SeedSequence(
-        entropy=plan_seed, spawn_key=(MODELS.index(model), horizon, window)
+        entropy=plan_seed, spawn_key=(MODELS.index(model), train_end)
     )
     return int(ss.generate_state(1)[0])
 
 
-def _run_window(surface, deaths, exposures, plan, model, horizon, window, t_l):
-    train_end = t_l + window
-    target_year = train_end + horizon
+def _run_fit(surface, deaths, exposures, plan, model, train_end, served):
+    """Fit ``model`` once on the years up to ``train_end``, forecast to the
+    largest horizon among ``served`` (its (horizon, window) tasks) and score
+    every task from that forecast."""
     k = int(train_end - surface.years[0]) + 1
     train_years = surface.years[:k]
-    actual = surface.y[int(target_year - surface.years[0])]
+    horizon = max(h for h, _ in served)
     try:
         if model == "mixed":
             design = build_design(surface.ages, train_years)
@@ -141,7 +148,7 @@ def _run_window(surface, deaths, exposures, plan, model, horizon, window, t_l):
                 surface.y[:k],
                 design,
                 restarts=plan.restarts,
-                seed=_window_seed(plan.seed, model, horizon, window),
+                seed=_window_seed(plan.seed, model, train_end),
             )
             fc = mixed_mod.forecast(fit, horizon)
             n_iter = fit.n_iter
@@ -156,31 +163,22 @@ def _run_window(surface, deaths, exposures, plan, model, horizon, window, t_l):
             drift = cbd_mod.estimate_rw(fit, divisor=plan.rw_divisor)
             fc = cbd_mod.forecast_cbd(fit, drift, horizon)
             n_iter = fit.n_sweeps
-        pred, _ = fc.year_slice(int(target_year))
+        preds = [fc.year_slice(train_end + h)[0] for h, _ in served]
     except _MODEL_ERRORS as exc:  # fit failures are reported, not fatal
-        return WindowResult(
-            model=model,
-            horizon=horizon,
-            window=window,
-            train_end=int(train_end),
-            target_year=int(target_year),
-            rmse=float("nan"),
-            errors=None,
-            failed=True,
-            message=f"{type(exc).__name__}: {exc}",
-        )
-    errors = pred - actual
-    return WindowResult(
-        model=model,
-        horizon=horizon,
-        window=window,
-        train_end=int(train_end),
-        target_year=int(target_year),
-        rmse=rmse_curve(pred, actual),
-        errors=errors,
-        converged=bool(fit.converged),
-        n_iter=int(n_iter),
-    )
+        message = f"{type(exc).__name__}: {exc}"
+        return [
+            WindowResult(model, h, w, train_end, train_end + h, float("nan"),
+                         None, failed=True, message=message)
+            for h, w in served
+        ]
+    results = []
+    for (h, w), pred in zip(served, preds):
+        actual = surface.y[int(train_end + h - surface.years[0])]
+        results.append(WindowResult(
+            model, h, w, train_end, train_end + h, rmse_curve(pred, actual),
+            pred - actual, converged=bool(fit.converged), n_iter=int(n_iter),
+        ))
+    return results
 
 
 def _resolve_workers(plan: BacktestPlan, n_tasks: int) -> int:
@@ -215,12 +213,15 @@ def run_backtest(
 ) -> BacktestReport:
     """Fit-and-score every (model, horizon, window) combination.
 
-    Windows are independent tasks and run in parallel when more than one
-    worker is available (``MORTCAST_THREADS`` caps the count); results are
-    merged by key, so the report does not depend on scheduling. Windows
-    whose fit fails are excluded from the pooled average and listed in
-    ``report.failures``; windows whose fit stopped without converging stay
-    in the pooled average and are flagged per result (``converged``).
+    Tasks that share a training end-year share one fit: each model is fit
+    once per distinct training end and forecast to the largest horizon that
+    window serves, and every task it serves is scored from that forecast.
+    Fits are independent and run in parallel when more than one worker is
+    available (``MORTCAST_THREADS`` caps the count); results sort by
+    (model, horizon, window), so the report does not depend on scheduling.
+    Windows whose fit fails are excluded from the pooled average and listed
+    in ``report.failures``; windows whose fit stopped without converging
+    stay in the pooled average and are flagged per result (``converged``).
     """
     plan.check_surface(surface)
     if (deaths is None) != (exposures is None):
@@ -229,45 +230,36 @@ def run_backtest(
         raise ValueError("deaths/exposures grids must match the surface")
 
     starts = {h: feasibility_start(surface.years, h, plan.windows) for h in plan.horizons}
-    tasks = [
-        (model, h, w, starts[h])
-        for model in plan.models
-        for h in plan.horizons
-        for w in range(plan.windows)
-    ]
+    served: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for model in plan.models:
+        for h in plan.horizons:
+            for w in range(plan.windows):
+                served.setdefault((model, starts[h] + w), []).append((h, w))
+    tasks = [(model, end, s) for (model, end), s in served.items()]
+    run = partial(_run_fit, surface, deaths, exposures, plan)
     workers = _resolve_workers(plan, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _run_window_star,
-                    [(surface, deaths, exposures, plan, *t) for t in tasks],
-                )
-            )
+            batches = list(pool.map(run, *zip(*tasks)))
     else:
-        results = [_run_window(surface, deaths, exposures, plan, *t) for t in tasks]
+        batches = [run(*t) for t in tasks]
 
-    results.sort(key=lambda r: (r.model, r.horizon, r.window))
+    results = sorted((r for batch in batches for r in batch),
+                     key=lambda r: (r.model, r.horizon, r.window))
+    groups = _by_model_horizon(plan, results)
     pooled: dict[tuple[str, int], float] = {}
     failures = []
-    for model in plan.models:
-        for h in plan.horizons:
-            errs = [
-                r.errors
-                for r in results
-                if r.model == model and r.horizon == h and not r.failed
-            ]
-            for r in results:
-                if r.model == model and r.horizon == h and r.failed:
-                    failures.append(
-                        f"{model} h={h} window={r.window} "
-                        f"(train to {r.train_end}): {r.message}"
-                    )
-            if errs:
-                stacked = np.concatenate(errs)
-                pooled[(model, h)] = float(np.sqrt(np.mean(stacked**2)))
-            else:
-                pooled[(model, h)] = float("nan")
+    for (model, h), rows in groups.items():
+        failures += [
+            f"{model} h={h} window={r.window} (train to {r.train_end}): {r.message}"
+            for r in rows if r.failed
+        ]
+        errs = [r.errors for r in rows if not r.failed]
+        if errs:
+            stacked = np.concatenate(errs)
+            pooled[(model, h)] = float(np.sqrt(np.mean(stacked**2)))
+        else:
+            pooled[(model, h)] = float("nan")
     return BacktestReport(
         plan=plan,
         ages=surface.ages,
@@ -278,8 +270,13 @@ def run_backtest(
     )
 
 
-def _run_window_star(args):
-    return _run_window(*args)
+def _by_model_horizon(plan, results) -> dict[tuple[str, int], list[WindowResult]]:
+    """Results grouped by (model, horizon), keys in plan order, each group
+    in the order of ``results``."""
+    groups = {(m, h): [] for m in plan.models for h in plan.horizons}
+    for r in results:
+        groups[(r.model, r.horizon)].append(r)
+    return groups
 
 
 def _fmt(x: float) -> str:
@@ -305,18 +302,12 @@ def _emit_csv(report: BacktestReport) -> str:
     out = io.StringIO()
     out.write("model,country,sex,horizon,window,rmse\n")
     plan = report.plan
-    for model in sorted(plan.models):
-        for h in sorted(plan.horizons):
-            for r in report.results:
-                if r.model == model and r.horizon == h:
-                    out.write(
-                        f"{model},{plan.label},{plan.sex},{h},{r.window},"
-                        f"{_fmt(r.rmse)}\n"
-                    )
-            out.write(
-                f"{model},{plan.label},{plan.sex},{h},all,"
-                f"{_fmt(report.pooled[(model, h)])}\n"
-            )
+    groups = _by_model_horizon(plan, report.results)
+    for model, h in sorted(groups):
+        prefix = f"{model},{plan.label},{plan.sex},{h}"
+        for r in groups[(model, h)]:
+            out.write(f"{prefix},{r.window},{_fmt(r.rmse)}\n")
+        out.write(f"{prefix},all,{_fmt(report.pooled[(model, h)])}\n")
     return out.getvalue()
 
 

@@ -122,7 +122,7 @@ def cbd_poisson_loglik(
         raise ValueError("non-finite linear predictor")
     w = 1.0 if weights is None else np.asarray(weights, dtype=float)
     log_factorials = np.sum(w * _log_factorial(D))
-    return _poisson_loglik(eta, w * D, w * E, log_factorials)
+    return _poisson_loglik(death_rate(eta), w * D, w * E, log_factorials)
 
 
 def _log_factorial(D) -> np.ndarray:
@@ -132,14 +132,15 @@ def _log_factorial(D) -> np.ndarray:
     return np.fromiter(lg, float, D1.size).reshape(D1.shape)
 
 
-def _poisson_loglik(eta, wD, wE, log_factorials) -> float:
-    """Weighted Poisson log-likelihood from weighted counts and exposures;
-    ``log_factorials`` is the weighted sum of log(D!), constant per fit.
+def _poisson_loglik(rate, wD, wE, log_factorials) -> float:
+    """Weighted Poisson log-likelihood from the cells' ``death_rate`` and
+    weighted counts and exposures; ``log_factorials`` is the weighted sum
+    of log(D!), constant per fit.
 
     D log(mu) is taken as 0 where the weighted count is 0, as
     lim_{D -> 0} D log(mu); that includes excluded cells, where mu = 0.
     """
-    mu = wE * death_rate(eta)
+    mu = wE * rate
     log_mu = np.log(mu, out=np.zeros_like(mu), where=wD != 0)
     return float(np.sum(wD * log_mu - mu) - log_factorials)
 
@@ -161,13 +162,16 @@ def transform_parameters(kappa1, kappa2, gamma3, phi1, phi2, ages, years):
 
 
 def _cell_terms(eta, D, E):
-    """Per-cell first/second derivatives of the Poisson LL wrt eta.
+    """The cells' ``death_rate`` m and the per-cell first/second
+    derivatives of the Poisson LL wrt eta, all from one evaluation of m.
 
     U = D sigma/m - E sigma, H = D sigma'/m - E sigma' - D (sigma/m)^2;
     the ratios tend to 1 as eta -> -inf, substituted directly below the
     underflow point. H < 0 everywhere, so Newton steps are well defined.
+    Returns (m, U, H); m is what :func:`_poisson_loglik` reads.
     """
-    m = np.maximum(np.logaddexp(0.0, eta), 1e-300)
+    rate = death_rate(eta)
+    m = np.maximum(rate, 1e-300)
     sig = inverse_logit(eta)
     dsig = sig * (1.0 - sig)
     low = eta < -30.0
@@ -175,7 +179,7 @@ def _cell_terms(eta, D, E):
     r2 = np.where(low, 1.0, dsig / m)
     U = D * r1 - E * sig
     H = D * r2 - E * dsig - D * r1**2
-    return U, H
+    return rate, U, H
 
 
 def _initial_curves(D, E, w):
@@ -219,6 +223,13 @@ def fit_cbd(
     in fewer than ``min_cohort_cells`` cells are excluded: their cells get
     zero likelihood weight and their gamma stays 0. A sweep that fails to
     improve the likelihood is retried with halved Newton steps.
+
+    Every point is evaluated by one cell kernel (:func:`_cell_terms`),
+    which takes ``death_rate`` once and returns both what the likelihood
+    check reads and the cell derivatives. An accepted point's terms carry
+    over from its likelihood check into the next sweep's (kappa1, kappa2)
+    step, which damped retries reuse, so each try of a sweep evaluates two
+    points: after the kappa step and after the constraints.
     """
     ages = np.asarray(ages, dtype=int)
     years = np.asarray(years, dtype=int)
@@ -243,66 +254,64 @@ def fit_cbd(
     kappa1, kappa2 = _initial_curves(D, E, xw)
     gamma3 = np.zeros(cohorts.size)
 
-    def eta_of(k1, k2, g3):
-        return k1[:, None] + k2[:, None] * xw[None, :] + g3[cols]
-
     log_factorials = np.sum(w * _log_factorial(D))
 
-    def ll_of(eta):
-        return _poisson_loglik(eta, wD, wE, log_factorials)
+    def evaluate(k1, k2, g3):
+        """death_rate and the weighted cell derivatives at one point."""
+        eta = k1[:, None] + k2[:, None] * xw[None, :] + g3[cols]
+        rate, U, H = _cell_terms(eta, wD, wE)
+        return rate, w * U, w * H
+
+    def ll_of(rate):
+        return _poisson_loglik(rate, wD, wE, log_factorials)
 
     _apply_constraints(kappa1, kappa2, gamma3, included, cohorts, ages, years)
-    ll = ll_of(eta_of(kappa1, kappa2, gamma3))
+    rate, wU, wH = evaluate(kappa1, kappa2, gamma3)
+    ll = ll_of(rate)
     trace = [ll]
     converged = False
     sweeps = 0
 
     while sweeps < max_sweeps:
         sweeps += 1
-        snapshot = (kappa1.copy(), kappa2.copy(), gamma3.copy())
+        # joint 2x2 Newton step per year for (kappa1_t, kappa2_t) from the
+        # accepted point's cell terms, kept from its likelihood check; the
+        # per-year Hessian blocks are negative definite when the year has
+        # weighted cells at two or more ages. A year whose weighted cells
+        # sit at a single age (possible on very narrow grids) leaves the
+        # pair unidentified along a ridge; move kappa1 alone there, which
+        # fixes the identified combination.
+        g1 = wU.sum(axis=1)
+        g2 = (wU * xw).sum(axis=1)
+        h11 = wH.sum(axis=1)
+        h12 = (wH * xw).sum(axis=1)
+        h22 = (wH * xw**2).sum(axis=1)
+        det = h11 * h22 - h12**2
+        full_rank = np.abs(det) > 1e-12 * (np.abs(h11 * h22) + 1e-300)
+        det_safe = np.where(full_rank, det, 1.0)
+        dk1 = np.where(full_rank, -(h22 * g1 - h12 * g2) / det_safe, -g1 / h11)
+        dk2 = np.where(full_rank, -(h11 * g2 - h12 * g1) / det_safe, 0.0)
         accepted = False
         damping = 1.0
         for _ in range(12):
-            k1, k2, g3 = (s.copy() for s in snapshot)
-
-            # joint 2x2 Newton step per year for (kappa1_t, kappa2_t); the
-            # per-year Hessian blocks are negative definite when the year
-            # has weighted cells at two or more ages. A year whose weighted
-            # cells sit at a single age (possible on very narrow grids)
-            # leaves the pair unidentified along a ridge; move kappa1 alone
-            # there, which fixes the identified combination.
-            eta = eta_of(k1, k2, g3)
-            U, H = _cell_terms(eta, wD, wE)
-            wU, wH = w * U, w * H
-            g1 = wU.sum(axis=1)
-            g2 = (wU * xw).sum(axis=1)
-            h11 = wH.sum(axis=1)
-            h12 = (wH * xw).sum(axis=1)
-            h22 = (wH * xw**2).sum(axis=1)
-            det = h11 * h22 - h12**2
-            full_rank = np.abs(det) > 1e-12 * (np.abs(h11 * h22) + 1e-300)
-            det_safe = np.where(full_rank, det, 1.0)
-            dk1 = np.where(full_rank, -(h22 * g1 - h12 * g2) / det_safe,
-                           -g1 / h11)
-            dk2 = np.where(full_rank, -(h11 * g2 - h12 * g1) / det_safe, 0.0)
-            k1 += damping * dk1
-            k2 += damping * dk2
-
-            eta = eta_of(k1, k2, g3)
-            U, H = _cell_terms(eta, wD, wE)
-            gsum = np.bincount(flat_cols, weights=(w * U).ravel(), minlength=cohorts.size)
-            hsum = np.bincount(flat_cols, weights=(w * H).ravel(), minlength=cohorts.size)
+            k1 = kappa1 + damping * dk1
+            k2 = kappa2 + damping * dk2
+            g3 = gamma3.copy()
+            _, tU, tH = evaluate(k1, k2, g3)
+            gsum = np.bincount(flat_cols, weights=tU.ravel(), minlength=cohorts.size)
+            hsum = np.bincount(flat_cols, weights=tH.ravel(), minlength=cohorts.size)
             g3[included] += damping * (-gsum[included] / hsum[included])
 
             _apply_constraints(k1, k2, g3, included, cohorts, ages, years)
-            ll_new = ll_of(eta_of(k1, k2, g3))
+            rate, tU, tH = evaluate(k1, k2, g3)
+            ll_new = ll_of(rate)
             if np.isfinite(ll_new) and ll_new >= ll - 1e-9:
                 accepted = True
                 break
             damping *= 0.5
         if not accepted:
             break
-        kappa1, kappa2, gamma3 = k1, k2, g3
+        kappa1, kappa2, gamma3, wU, wH = k1, k2, g3, tU, tH
         dll = ll_new - ll
         ll = ll_new
         trace.append(ll)

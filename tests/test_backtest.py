@@ -173,6 +173,103 @@ class TestDeterminismAndParallel:
             bt._resolve_workers(plan, 8)
 
 
+class TestOneFitPerTrainingWindow:
+    """Horizons 2 and 3 with three windows on 1985-2008 train to 2004-2006
+    and 2003-2005: six tasks per model share four training end-years."""
+
+    PLAN = dict(ages=(60, 63), horizons=(2, 3), windows=3,
+                models=("cbd", "mixed"), restarts=1, workers=1)
+
+    @staticmethod
+    def surface():
+        rng = np.random.default_rng(11)
+        base = cbd_exact_surface((60, 63), (1985, 2008))
+        q = inverse_logit(base.y + 0.02 * rng.standard_normal(base.y.shape))
+        return MortalitySurface(ages=base.ages, years=base.years, q=q,
+                                y=np.log(q) - np.log1p(-q))
+
+    @staticmethod
+    def single_task(surface, plan, model, horizon, train_end, fit_cbd, fit_mixed):
+        """fit -> forecast(horizon) -> rmse_curve for one task alone."""
+        k = train_end - int(surface.years[0]) + 1
+        if model == "cbd":
+            D, E = bt.cbd_mod.synthesize_counts(surface.q[:k], plan.synth_exposure)
+            fit = fit_cbd(D, E, surface.ages, surface.years[:k])
+            drift = bt.cbd_mod.estimate_rw(fit, divisor=plan.rw_divisor)
+            fc = bt.cbd_mod.forecast_cbd(fit, drift, horizon)
+        else:
+            design = bt.build_design(surface.ages, surface.years[:k])
+            fit = fit_mixed(surface.y[:k], design, restarts=plan.restarts)
+            fc = bt.mixed_mod.forecast(fit, horizon)
+        target = train_end + horizon
+        pred, _ = fc.year_slice(target)
+        actual = surface.y[target - int(surface.years[0])]
+        return rmse_curve(pred, actual), pred - actual
+
+    def test_one_fit_per_model_and_training_end(self, monkeypatch):
+        surface = self.surface()
+        plan = BacktestPlan(**self.PLAN)
+        real_cbd, real_mixed = bt.cbd_mod.fit_cbd, bt.mixed_mod.fit
+        calls = []
+
+        def counted_cbd(D, E, ages, years, **kw):
+            calls.append(("cbd", int(years[-1])))
+            return real_cbd(D, E, ages, years, **kw)
+
+        def counted_mixed(y, design, **kw):
+            calls.append(("mixed", int(design.train_years[-1])))
+            return real_mixed(y, design, **kw)
+
+        monkeypatch.setattr(bt.cbd_mod, "fit_cbd", counted_cbd)
+        monkeypatch.setattr(bt.mixed_mod, "fit", counted_mixed)
+        report = run_backtest(plan, surface)
+        monkeypatch.undo()
+
+        distinct = {(r.model, r.train_end) for r in report.results}
+        assert len(report.results) == 2 * 2 * 3 and len(distinct) == 2 * 4
+        assert sorted(calls) == sorted(distinct)
+        assert not report.failures
+        for r in report.results:
+            rmse, errors = self.single_task(surface, plan, r.model, r.horizon,
+                                            r.train_end, real_cbd, real_mixed)
+            assert r.target_year == r.train_end + r.horizon
+            if r.model == "cbd":
+                assert r.rmse == rmse and np.array_equal(r.errors, errors)
+            else:
+                assert r.rmse == pytest.approx(rmse, rel=1e-12, abs=0.0)
+                np.testing.assert_allclose(r.errors, errors, rtol=1e-12, atol=0.0)
+
+    def test_shared_fit_failure_fails_every_task_it_serves(self, monkeypatch):
+        surface = self.surface()
+        real_fit = bt.mixed_mod.fit
+
+        def flaky_fit(y, design, **kw):
+            if design.train_years[-1] == 2005:
+                raise RuntimeError("synthetic failure for testing")
+            return real_fit(y, design, **kw)
+
+        monkeypatch.setattr(bt.mixed_mod, "fit", flaky_fit)
+        plan = BacktestPlan(**{**self.PLAN, "models": ("mixed",)})
+        report = run_backtest(plan, surface)
+        failed = [r for r in report.results if r.failed]
+        # 2005 closes window 1 of h = 2 and window 2 of h = 3
+        assert [(r.horizon, r.window, r.train_end) for r in failed] == [
+            (2, 1, 2005), (3, 2, 2005)]
+        assert all(not r.converged and r.n_iter == 0 and r.errors is None
+                   for r in failed)
+        assert report.failures == [
+            "mixed h=2 window=1 (train to 2005): RuntimeError: synthetic failure for testing",
+            "mixed h=3 window=2 (train to 2005): RuntimeError: synthetic failure for testing",
+        ]
+        for h in plan.horizons:
+            ok = [r for r in report.results if r.horizon == h and not r.failed]
+            assert len(ok) == 2
+            total = sum(float(np.sum(r.errors**2)) for r in ok)
+            pooled = report.pooled[("mixed", h)]
+            assert pooled**2 * (len(ok) * surface.ages.size) == pytest.approx(
+                total, rel=1e-12)
+
+
 class TestFailureHandling:
     def test_failed_window_excluded_and_flagged(self, monkeypatch):
         surface = cbd_exact_surface((60, 63), (1985, 2008))
@@ -359,6 +456,10 @@ class TestPlanValidation:
     def test_bad_model_rejected(self):
         with pytest.raises(ValueError):
             BacktestPlan(models=("arima",))
+
+    def test_repeated_horizon_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            BacktestPlan(horizons=(5, 10, 5))
 
     def test_bad_windows_rejected(self):
         with pytest.raises(ValueError):

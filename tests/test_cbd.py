@@ -17,7 +17,7 @@ from mortcast.cbd import (
     synthesize_counts,
     transform_parameters,
 )
-from mortcast.data import inverse_logit
+from mortcast.data import cohort_cols, inverse_logit
 
 
 def true_curves(ages, years, cohort_amp=0.05):
@@ -275,6 +275,33 @@ class TestFitCbd:
             fit_cbd(np.zeros((2, 2)), np.ones((3, 2)), [60, 61], [2000, 2001])
         with pytest.raises(ValueError):
             fit_cbd(np.zeros((2, 2)), np.zeros((2, 2)), [60, 61], [2000, 2001])
+
+    @pytest.mark.parametrize("grid", ["a6", "corners"])
+    def test_reported_loglik_is_the_loglik_of_the_fitted_curves(self, grid):
+        # the sweeps carry each accepted point's cell terms over from its
+        # likelihood check; the reported value must still be the Poisson
+        # LL of the returned curves over the kept cohorts
+        if grid == "a6":
+            rng = np.random.default_rng(606)
+            ages, years = np.arange(60, 70), np.arange(1990, 2020)
+            k1, k2, g3 = true_curves(ages, years)
+            E = np.full((years.size, ages.size), 1e5)
+        else:
+            rng = np.random.default_rng(7)
+            ages, years = np.arange(60, 66), np.arange(2000, 2012)
+            k1, k2, g3 = true_curves(ages, years, cohort_amp=0.1)
+            E = np.full((years.size, ages.size), 2e3)
+        eta = linear_predictor(k1, k2, g3, ages, years)
+        D = rng.poisson(E * death_rate(eta)).astype(float)
+        f = fit_cbd(D, E, ages, years)
+        assert f.converged and f.n_sweeps > 1
+        if grid == "corners":
+            assert not f.included[0] and not f.included[-1]
+        assert f.loglik == f.loglik_trace[-1]
+        weights = f.included[cohort_cols(ages, years, f.cohorts)]
+        ll = cbd_poisson_loglik(f.kappa1, f.kappa2, f.gamma3, ages, years,
+                                D, E, weights=weights)
+        assert f.loglik == pytest.approx(ll, rel=1e-12, abs=0.0)
 
 
 class TestEstimateRw:
