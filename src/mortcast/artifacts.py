@@ -17,8 +17,7 @@ import numpy as np
 from .cbd import CbdFit
 from .data import cohort_labels
 from .design import KernelParams, build_design
-from .mixed import (
-    MixedFit, _Evaluation, _posterior, _Projection, stack_grid, unstack_vector)
+from .mixed import MixedFit, _evaluated_posterior, stack_grid, unstack_vector
 
 SCHEMA_VERSION = 1
 
@@ -98,7 +97,7 @@ def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
     params = KernelParams(**doc["params"])
     y = stack_grid(np.asarray(doc["y"], dtype=float))
     policy = doc.get("beta_cov_policy", "scaled")
-    fixed, random = _posterior(_Evaluation(_Projection(y, design), params), policy)
+    _, fixed, random = _evaluated_posterior(y, design, params, policy)
     return MixedFit(
         params=params,
         fixed=fixed,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -311,39 +311,28 @@ def _emit_csv(report: BacktestReport) -> str:
     return out.getvalue()
 
 
+#: left out of report.json: the report's own ages/years stand for the plan's,
+#: workers do not change results, and ``rmse`` summarizes the per-age errors
+_NOT_IN_JSON = ("ages", "years", "workers", "errors")
+
+
+def _json_row(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if f.name not in _NOT_IN_JSON}
+
+
 def _emit_json(report: BacktestReport) -> str:
     import json
 
-    plan = report.plan
+    results = [_json_row(r) for r in report.results]
+    for row in results:
+        if row["failed"]:
+            row.update(rmse=None, converged=None, n_iter=None)
     doc = {
-        "plan": {
-            "label": plan.label,
-            "sex": plan.sex,
-            "horizons": list(plan.horizons),
-            "windows": plan.windows,
-            "models": list(plan.models),
-            "seed": plan.seed,
-            "restarts": plan.restarts,
-            "rw_divisor": plan.rw_divisor,
-            "synth_exposure": plan.synth_exposure,
-        },
+        "plan": _json_row(report.plan),
         "ages": [int(report.ages[0]), int(report.ages[-1])],
         "years": [int(report.years[0]), int(report.years[-1])],
-        "results": [
-            {
-                "model": r.model,
-                "horizon": r.horizon,
-                "window": r.window,
-                "train_end": r.train_end,
-                "target_year": r.target_year,
-                "rmse": None if r.failed else r.rmse,
-                "converged": None if r.failed else r.converged,
-                "n_iter": None if r.failed else r.n_iter,
-                "failed": r.failed,
-                "message": r.message,
-            }
-            for r in report.results
-        ],
+        "results": results,
         "pooled": [
             {"model": model, "horizon": h, "rmse": report.pooled[(model, h)]}
             for model in sorted(report.plan.models)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .data import (
     central_to_initial,
+    checked_counts,
     cohort_cols,
     cohort_labels,
     initial_to_central,
@@ -32,6 +33,8 @@ from .forecasts import Forecast
 
 #: cohorts observed in fewer cells than this are dropped from the fit
 MIN_COHORT_CELLS = 3
+#: sweeps stop once an accepted sweep gains at most TOL * (1 + |LL|)
+TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,20 +77,6 @@ class RwDrift:
     divisor: str = "n"
 
 
-def _checked_counts(D, E) -> tuple[np.ndarray, np.ndarray]:
-    """D and E as float arrays; every count must be finite, every exposure
-    strictly positive and every death count >= 0."""
-    D = np.asarray(D, dtype=float)
-    E = np.asarray(E, dtype=float)
-    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(E))):
-        raise ValueError("death counts and exposures must be finite")
-    if np.any(E <= 0):
-        raise ValueError("exposures must be strictly positive")
-    if np.any(D < 0):
-        raise ValueError("death counts must be >= 0")
-    return D, E
-
-
 def linear_predictor(kappa1, kappa2, gamma3, ages, years, cohorts=None) -> np.ndarray:
     """(n, m) grid of eta = kappa1_t + kappa2_t (x - x_bar) + gamma3_{t-x}."""
     ages = np.asarray(ages, dtype=int)
@@ -116,7 +105,7 @@ def cbd_poisson_loglik(
     ``weights`` (0/1 per cell) drops cells of excluded cohorts; log(D!) is
     evaluated with log-gamma so non-integer synthesized counts are fine.
     """
-    D, E = _checked_counts(D, E)
+    D, E = checked_counts(D, E, ages, years)
     eta = linear_predictor(kappa1, kappa2, gamma3, ages, years)
     if not np.all(np.isfinite(eta)):
         raise ValueError("non-finite linear predictor")
@@ -141,23 +130,24 @@ def _poisson_loglik(rate, wD, wE, log_factorials) -> float:
     lim_{D -> 0} D log(mu); that includes excluded cells, where mu = 0.
     """
     mu = wE * rate
-    log_mu = np.log(mu, out=np.zeros_like(mu), where=wD != 0)
+    with np.errstate(divide="ignore"):  # mu = 0 under a count: LL = -inf, rejected
+        log_mu = np.log(mu, out=np.zeros_like(mu), where=wD != 0)
     return float(np.sum(wD * log_mu - mu) - log_factorials)
 
 
 def transform_parameters(kappa1, kappa2, gamma3, phi1, phi2, ages, years):
     """The identifiability map leaving every fitted rate unchanged.
 
-    (kappa1_t, kappa2_t, gamma_{t-x}) -> (kappa1_t + phi1 + phi2 (t - x_bar),
-    kappa2_t - phi2, gamma_{t-x} - phi1 - phi2 (t - x)).
+    (kappa1_t, kappa2_t, gamma_{t-x}) -> (kappa1_t + (phi1 + phi2 (t - x_bar)),
+    kappa2_t - phi2, gamma_{t-x} - (phi1 + phi2 (t - x))).
     """
     ages = np.asarray(ages, dtype=int)
     years = np.asarray(years, dtype=int)
     cohorts = cohort_labels(ages, years)
     x_bar = float(np.mean(ages))
-    k1 = np.asarray(kappa1, dtype=float) + phi1 + phi2 * (years - x_bar)
+    k1 = np.asarray(kappa1, dtype=float) + (phi1 + phi2 * (years - x_bar))
     k2 = np.asarray(kappa2, dtype=float) - phi2
-    g3 = np.asarray(gamma3, dtype=float) - phi1 - phi2 * cohorts
+    g3 = np.asarray(gamma3, dtype=float) - (phi1 + phi2 * cohorts)
     return k1, k2, g3
 
 
@@ -193,16 +183,12 @@ def _initial_curves(D, E, w):
 
 def _apply_constraints(kappa1, kappa2, gamma3, included, cohorts, ages, years):
     """Regress gamma on (1, cohort) over the fitted set and absorb the line
-    into the kappa curves via the invariance map; returns phi1, phi2."""
-    cs = cohorts[included].astype(float)
-    X = np.column_stack([np.ones(cs.size), cs])
+    into the kappa curves by :func:`transform_parameters`; excluded cohorts
+    stay at 0. Returns the new (kappa1, kappa2, gamma3)."""
+    X = np.column_stack([np.ones(int(included.sum())), cohorts[included]])
     phi, *_ = np.linalg.lstsq(X, gamma3[included], rcond=None)
-    phi1, phi2 = float(phi[0]), float(phi[1])
-    x_bar = float(np.mean(ages))
-    kappa1 += phi1 + phi2 * (years - x_bar)
-    kappa2 -= phi2
-    gamma3[included] -= phi1 + phi2 * cs
-    return phi1, phi2
+    k1, k2, g3 = transform_parameters(kappa1, kappa2, gamma3, phi[0], phi[1], ages, years)
+    return k1, k2, np.where(included, g3, 0.0)
 
 
 def fit_cbd(
@@ -210,8 +196,6 @@ def fit_cbd(
     E,
     ages,
     years,
-    min_cohort_cells: int = MIN_COHORT_CELLS,
-    tol: float = 1e-8,
     max_sweeps: int = 1000,
 ) -> CbdFit:
     """Maximize the Poisson log-likelihood by blockwise Newton sweeps.
@@ -220,7 +204,7 @@ def fit_cbd(
     year, then a Newton step on every fitted gamma3 coordinate (blocks are
     separable given the others), then re-imposes the two cohort constraints
     through the likelihood-invariant reparameterization. Cohorts observed
-    in fewer than ``min_cohort_cells`` cells are excluded: their cells get
+    in fewer than ``MIN_COHORT_CELLS`` cells are excluded: their cells get
     zero likelihood weight and their gamma stays 0. A sweep that fails to
     improve the likelihood is retried with halved Newton steps.
 
@@ -233,18 +217,15 @@ def fit_cbd(
     """
     ages = np.asarray(ages, dtype=int)
     years = np.asarray(years, dtype=int)
-    n, m = years.size, ages.size
-    D, E = _checked_counts(D, E)
-    if D.shape != (n, m) or E.shape != (n, m):
-        raise ValueError(f"D/E grids must have shape ({n}, {m})")
+    D, E = checked_counts(D, E, ages, years)
 
     cohorts = cohort_labels(ages, years)
     cols = cohort_cols(ages, years, cohorts)
     counts = np.bincount(cols.ravel(), minlength=cohorts.size)
-    included = counts >= min_cohort_cells
+    included = counts >= MIN_COHORT_CELLS
     if not np.any(included):
         raise ValueError(
-            f"no cohort reaches {min_cohort_cells} observed cells; grid too small"
+            f"no cohort reaches {MIN_COHORT_CELLS} observed cells; grid too small"
         )
     w = included[cols].astype(float)
     wD, wE = w * D, w * E
@@ -252,7 +233,8 @@ def fit_cbd(
     flat_cols = cols.ravel()
 
     kappa1, kappa2 = _initial_curves(D, E, xw)
-    gamma3 = np.zeros(cohorts.size)
+    kappa1, kappa2, gamma3 = _apply_constraints(
+        kappa1, kappa2, np.zeros(cohorts.size), included, cohorts, ages, years)
 
     log_factorials = np.sum(w * _log_factorial(D))
 
@@ -265,7 +247,6 @@ def fit_cbd(
     def ll_of(rate):
         return _poisson_loglik(rate, wD, wE, log_factorials)
 
-    _apply_constraints(kappa1, kappa2, gamma3, included, cohorts, ages, years)
     rate, wU, wH = evaluate(kappa1, kappa2, gamma3)
     ll = ll_of(rate)
     trace = [ll]
@@ -302,7 +283,7 @@ def fit_cbd(
             hsum = np.bincount(flat_cols, weights=tH.ravel(), minlength=cohorts.size)
             g3[included] += damping * (-gsum[included] / hsum[included])
 
-            _apply_constraints(k1, k2, g3, included, cohorts, ages, years)
+            k1, k2, g3 = _apply_constraints(k1, k2, g3, included, cohorts, ages, years)
             rate, tU, tH = evaluate(k1, k2, g3)
             ll_new = ll_of(rate)
             if np.isfinite(ll_new) and ll_new >= ll - 1e-9:
@@ -315,7 +296,7 @@ def fit_cbd(
         dll = ll_new - ll
         ll = ll_new
         trace.append(ll)
-        if abs(dll) <= tol * (1.0 + abs(ll)):
+        if abs(dll) <= TOL * (1.0 + abs(ll)):
             converged = True
             break
 

@@ -185,14 +185,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"config file not found: {path}")
         return RunConfig.from_json(path.read_text())
     cfg = RunConfig(command=args.command)
-    simple = (
-        "input format sex model split_year restarts synth_exposure "
-        "dump_matrices out seed fit_path horizon alpha windows label "
-        "clamp_q var_beta rw_divisor"
-    ).split()
-    for name in simple:
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
+    parsed = ("ages", "years", "models", "horizons")  # text, parsed below
+    for f in fields(RunConfig):
+        if f.name not in parsed and hasattr(args, f.name):
+            setattr(cfg, f.name, getattr(args, f.name))
     if getattr(args, "ages", None):
         cfg.ages = _parse_range(args.ages, "ages")
     if getattr(args, "years", None):
@@ -360,19 +356,8 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 def cmd_backtest(cfg: RunConfig) -> int:
     surface, counts = _load_surface(cfg)
-    plan = BacktestPlan(
-        label=cfg.label,
-        sex=cfg.sex,
-        ages=cfg.ages,
-        years=cfg.years,
-        horizons=tuple(cfg.horizons),
-        windows=cfg.windows,
-        models=tuple(cfg.models),
-        seed=cfg.seed,
-        restarts=cfg.restarts,
-        rw_divisor=cfg.rw_divisor,
-        synth_exposure=cfg.synth_exposure,
-    )
+    plan = BacktestPlan(**{f.name: getattr(cfg, f.name)
+                           for f in fields(BacktestPlan) if hasattr(cfg, f.name)})
     deaths, exposures = counts if counts is not None else (None, None)
     t0 = time.perf_counter()
     report = run_backtest(plan, surface, deaths, exposures)

@@ -117,8 +117,9 @@ class RawMortalityTable:
     rates : float array
         Central rates m, or initial rates q when ``rate_kind == "initial"``.
     deaths, exposures : float arrays or None
-        Optional observed death counts and central exposures, aligned with rows.
-        NaN marks a row without the value.
+        Optional observed death counts and central exposures, aligned with
+        rows; both or neither. NaN marks a row without the value, which
+        :func:`window_counts` rejects inside a window.
     rate_kind : {"central", "initial"}
     """
 
@@ -139,6 +140,8 @@ class RawMortalityTable:
         object.__setattr__(self, "rates", rates)
         if self.rate_kind not in ("central", "initial"):
             raise ValueError(f"unknown rate_kind {self.rate_kind!r}")
+        if (self.deaths is None) != (self.exposures is None):
+            raise ValueError("deaths and exposures come as a pair")
         if len(years) == 0:
             raise EmptyInputError("table has no rows")
         index = {}
@@ -148,7 +151,7 @@ class RawMortalityTable:
                 raise DuplicateCellError(f"duplicate cell (year={t}, age={x})")
             index[key] = i
         object.__setattr__(self, "_index", index)
-        if self.deaths is not None and self.exposures is not None:
+        if self.deaths is not None:
             d = np.asarray(self.deaths, dtype=float)
             e = np.asarray(self.exposures, dtype=float)
             ok = np.isfinite(d) & np.isfinite(e) & (e > 0)
@@ -245,6 +248,8 @@ def _parse_csv(text: str) -> RawMortalityTable:
     unknown = [h for h in header if h not in known]
     if unknown:
         raise ParseError(f"unknown column(s) {unknown}", line=1)
+    if ("deaths" in header) != ("exposure" in header):
+        raise ParseError("columns 'deaths' and 'exposure' come as a pair", line=1)
     year_col, age_col = header.index("year"), header.index("age")
     deaths_col = header.index("deaths") if "deaths" in header else None
     expo_col = header.index("exposure") if "exposure" in header else None
@@ -288,7 +293,7 @@ def parse_table(text: str, fmt: str, sex: str = "total") -> RawMortalityTable:
         ``hmd_1x1``: whitespace columns Year, Age, Female, Male, Total with
         header lines; age "110+" parses as 110; "." marks a missing cell.
         ``csv``: header ``year,age,mx`` (or ``qx``), optionally with
-        ``deaths`` and ``exposure`` columns.
+        both ``deaths`` and ``exposure`` columns.
     sex : {"female", "male", "total"}
         Column selected from hmd_1x1 input; ignored for csv.
     """
@@ -420,21 +425,35 @@ def build_surface(
     return MortalitySurface(ages=ages, years=years, q=q, y=logit(q))
 
 
+def checked_counts(D, E, ages, years) -> tuple[np.ndarray, np.ndarray]:
+    """D and E as float (years x ages) grids; every count must be finite,
+    every exposure > 0 and every death count >= 0, else ``ValueError``
+    names the first bad cell in (year, age) order."""
+    D, E = np.asarray(D, dtype=float), np.asarray(E, dtype=float)
+    if D.shape != (len(years), len(ages)) or E.shape != D.shape:
+        raise ValueError(f"D/E grids must have shape ({len(years)}, {len(ages)})")
+    bad = ~(np.isfinite(D) & np.isfinite(E)) | (E <= 0) | (D < 0)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"bad count at (year={years[i]}, age={ages[j]}): deaths={float(D[i, j])!r}, "
+            f"exposure={float(E[i, j])!r}; counts must be finite, exposures > 0 "
+            f"and deaths >= 0")
+    return D, E
+
+
 def window_counts(
     table: RawMortalityTable, ages, years
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Extract (deaths, exposures) grids for a window, or None if incomplete."""
-    if table.deaths is None or table.exposures is None:
+    """(deaths, exposures) grids for a window, checked by
+    :func:`checked_counts`; None if the table has no count columns."""
+    if table.deaths is None:
         return None
     ages, years, rows = _cell_rows(table, ages, years)
     if (rows < 0).any():
         i, j = np.unravel_index(np.argmax(rows < 0), rows.shape)
         table.lookup(years[i], ages[j])  # raises MissingCellError
-    D = table.deaths[rows]
-    E = table.exposures[rows]
-    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(E)) and np.all(E > 0)):
-        return None
-    return D, E
+    return checked_counts(table.deaths[rows], table.exposures[rows], ages, years)
 
 
 def _cell_rows(table: RawMortalityTable, ages, years):

@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import cohort_cols
 from .design import (
     DesignSet,
     KernelParams,
@@ -39,6 +40,8 @@ LOG2PI = math.log(2.0 * math.pi)
 
 #: log-parameter clip keeping exp() strictly positive and finite
 _LOG_BOUND = 230.0
+#: BFGS iterations per restart
+MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,7 @@ class _ProfileObjective:
         return g_u[self.free]
 
 
-def _bfgs_ascent(objective, u0, free, tol, max_iter):
+def _bfgs_ascent(objective, u0, free, tol):
     """Maximize the profile LL from u0; returns (state, trace, converged, iters).
 
     Accepted steps satisfy an Armijo condition on -LL, so the likelihood
@@ -308,7 +311,7 @@ def _bfgs_ascent(objective, u0, free, tol, max_iter):
     last_small = False
     it = 0
 
-    while it < max_iter:
+    while it < MAX_ITER:
         it += 1
         gf = -g  # gradient of the objective being minimized
         d = -H @ gf
@@ -428,7 +431,6 @@ def fit(
     restarts: int = 3,
     seed: int = 0,
     tol: float = 1e-8,
-    max_iter: int = 500,
     free: np.ndarray | None = None,
     beta_cov: str = "scaled",
 ) -> MixedFit:
@@ -470,9 +472,7 @@ def fit(
     for run in range(restarts):
         u0 = np.log(_restart_init(base, run, seed).as_array())
         try:
-            state, trace, converged, iters = _bfgs_ascent(
-                objective, u0, free, tol, max_iter
-            )
+            state, trace, converged, iters = _bfgs_ascent(objective, u0, free, tol)
         except (FactorizationError, ValueError) as exc:
             failures.append(f"run {run}: {exc}")
             continue
@@ -485,7 +485,7 @@ def fit(
 
     state, trace, converged, iters = best
     params = state.params
-    fixed, random = _posterior(state, beta_cov)
+    _, fixed, random = _posterior(state, beta_cov)
     boundary = params.sigma2 < 1e-10 * (1.0 + float(np.var(y)))
     return MixedFit(
         params=params,
@@ -502,14 +502,30 @@ def fit(
     )
 
 
-def _posterior(ev: _Evaluation, beta_cov_policy):
-    """Fixed-effects estimate plus the three conditional (BLUP) distributions."""
+def _posterior(ev: _Evaluation, beta_cov_policy, horizon: int = 0):
+    """The design extended ``horizon`` years, the fixed-effects estimate and
+    the conditional (BLUP) distributions of the random effects on it.
+
+    Effect k has mean K* Z_k'a and covariance K** - K* Z_k'V^-1Z_k K*'
+    (GPML eqs. 2.25-2.26), K* its covariance with the training effect: K for
+    the age effects, :func:`build_forecast_covariances` (K3 at horizon 0)
+    for the cohort effect.
+    """
+    d = ev.proj.design
+    dh = build_design(d.ages, d.train_years, horizon) if horizon else d
+    K1, K2, _ = ev.kernels
+    cross = ((K1, K1), (K2, K2), build_forecast_covariances(ev.params, dh))
     Ginv = np.linalg.inv(ev.G)
     cov_beta = ev.params.sigma2 * Ginv if beta_cov_policy == "scaled" else Ginv
     moments = []
-    for (W, b), K in zip(ev.blocks(ev.beta), ev.kernels):
-        moments += [K @ b, K - K @ W @ K]
-    return FixedEffects(beta=ev.beta, cov_beta=cov_beta), RandomEffects(*moments)
+    for (W, b), (Ks, Kss) in zip(ev.blocks(ev.beta), cross):
+        moments += [Ks @ b, Kss - Ks @ W @ Ks.T]
+    return dh, FixedEffects(beta=ev.beta, cov_beta=cov_beta), RandomEffects(*moments)
+
+
+def _evaluated_posterior(y, design, params, policy, horizon=0):
+    """:func:`_posterior` of the model evaluated at ``params`` on (y, design)."""
+    return _posterior(_Evaluation(_Projection(y, design), params), policy, horizon)
 
 
 def blup(y, fit: MixedFit) -> RandomEffects:
@@ -517,29 +533,24 @@ def blup(y, fit: MixedFit) -> RandomEffects:
 
     Recomputed from the fitted hyperparameters; equals ``fit.random``.
     """
-    ev = _Evaluation(_Projection(y, fit.design), fit.params)
-    _, random = _posterior(ev, fit.beta_cov_policy)
-    return random
-
-
-def _sandwich_diag(Z, C):
-    """diag(Z C Z') without forming the full product."""
-    return np.einsum("ij,jk,ik->i", Z, C, Z)
+    return _evaluated_posterior(y, fit.design, fit.params, fit.beta_cov_policy)[2]
 
 
 def _moments(d: DesignSet, fixed: FixedEffects, re: RandomEffects, sigma2):
     """Mean and per-cell variance grids (years x ages) over the design's
-    rows: the four component variances plus the noise variance."""
-    parts = (
-        (d.T, fixed.beta, fixed.cov_beta),
-        (d.Z1, re.gamma1, re.cov1),
-        (d.Z2, re.gamma2, re.cov2),
-        (d.Z3, re.gamma3, re.cov3),
-    )
-    mean = sum(Z @ g for Z, g, _ in parts)
-    var = sum(np.maximum(_sandwich_diag(Z, C), 0.0) for Z, _, C in parts) + sigma2
+    cells, the four component variances plus the noise variance; a cell
+    reads its age's entries and its cohort's (:func:`cohort_cols`) entry."""
     n, m = d.n_train + d.horizon, d.n_ages
-    return unstack_vector(mean, n, m), unstack_vector(var, n, m)
+    tau = (d.years - d.t_bar)[:, None]
+    coh = cohort_cols(d.ages, d.years, d.cohort_index)
+    T_var = np.einsum("ij,jk,ik->i", d.T, fixed.cov_beta, d.T)
+    parts = (
+        (unstack_vector(d.T @ fixed.beta, n, m), unstack_vector(T_var, n, m)),
+        (re.gamma1, np.diag(re.cov1)),
+        (tau * re.gamma2, tau * np.diag(re.cov2) * tau),
+        (re.gamma3[coh], np.diag(re.cov3)[coh]),
+    )
+    return sum(g for g, _ in parts), sum(np.maximum(v, 0.0) for _, v in parts) + sigma2
 
 
 def fitted_surface(fit: MixedFit) -> tuple[np.ndarray, np.ndarray]:
@@ -550,38 +561,24 @@ def fitted_surface(fit: MixedFit) -> tuple[np.ndarray, np.ndarray]:
 def forecast(fit: MixedFit, horizon: int, alpha: float = 0.05) -> Forecast:
     """Extend the fit h years ahead with per-cell prediction variances.
 
-    The cohort effect is extrapolated by :func:`extended_random_effects`;
-    the age-intercept and age-slope effects live on the age axis and carry
-    over unchanged. The reported per-cell variance sums the four component
-    variances plus the noise variance.
+    The moments are those of the posterior at horizon h
+    (:func:`extended_random_effects`); the reported per-cell variance sums
+    the four component variances plus the noise variance.
     """
-    dh, re = _extended(fit, horizon)
-    mean, var = _moments(dh, fit.fixed, re, fit.params.sigma2)
-    return Forecast(
-        ages=dh.ages, years=dh.years, horizon=horizon, mean=mean, variance=var
-    )
+    if horizon < 1:
+        raise ValueError("forecast horizon must be >= 1")
+    dh, fixed, re = _evaluated_posterior(
+        fit.y, fit.design, fit.params, fit.beta_cov_policy, horizon)
+    mean, var = _moments(dh, fixed, re, fit.params.sigma2)
+    return Forecast(ages=dh.ages, years=dh.years, horizon=horizon, mean=mean, variance=var)
 
 
 def extended_random_effects(fit: MixedFit, horizon: int) -> RandomEffects:
-    """Random effects with the cohort vector extended ``horizon`` years ahead,
-    through its cross-covariance with the training cohorts."""
-    return _extended(fit, horizon)[1]
-
-
-def _extended(fit: MixedFit, horizon: int) -> tuple[DesignSet, RandomEffects]:
-    """The forecast design and :func:`extended_random_effects` on it."""
-    if horizon < 1:
-        raise ValueError("forecast horizon must be >= 1")
-    d = fit.design
-    dh = build_design(d.ages, d.train_years, horizon)
-    K3_star, K3_star_star = build_forecast_covariances(fit.params, dh)
-    ev = _Evaluation(_Projection(fit.y, d), fit.params)
-    W3, b3 = ev.blocks(ev.beta)[2]
-    return dh, replace(
-        fit.random,
-        gamma3=K3_star @ b3,
-        cov3=K3_star_star - K3_star @ W3 @ K3_star.T,
-    )
+    """Random effects with the cohort vector extended ``horizon`` years ahead
+    through its cross-covariance with the training cohorts (the age effects
+    carry over unchanged); horizon 0 gives :func:`blup` on ``fit.y``."""
+    return _evaluated_posterior(
+        fit.y, fit.design, fit.params, fit.beta_cov_policy, horizon)[2]
 
 
 def _sample_psd(K, rng):

@@ -288,6 +288,9 @@ class TestFailureHandling:
         failed = [r for r in report.results if r.failed]
         assert len(failed) == 1 and failed[0].train_end == 2005
         assert len(report.failures) == 1
+        rows = json.loads(emit_report(report, "json"))["results"]
+        assert [(r["rmse"], r["converged"], r["n_iter"]) for r in rows if r["failed"]] == [
+            (None, None, None)]
         ok = [r for r in report.results if not r.failed]
         pooled = report.pooled[("mixed", 2)]
         total = sum(float(np.sum(r.errors**2)) for r in ok)
@@ -433,6 +436,15 @@ class TestEmitReport:
         }
         doc = json.loads(emit_report(report, "json"))
         jsonschema.validate(doc, schema)
+
+    def test_json_rows_are_the_dataclass_fields(self, report):
+        from dataclasses import fields
+
+        doc = json.loads(emit_report(report, "json"))
+        left_out = {"ages", "years", "workers", "errors"}
+        assert set(doc["plan"]) == {f.name for f in fields(BacktestPlan)} - left_out
+        names = {f.name for f in fields(bt.WindowResult)} - left_out
+        assert all(set(row) == names for row in doc["results"])
 
     def test_markdown_flags_row_minima(self, report):
         text = emit_report(report, "markdown-table")

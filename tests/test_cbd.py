@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,24 @@ class TestFitCbd:
             fit_cbd(np.zeros((2, 2)), np.ones((3, 2)), [60, 61], [2000, 2001])
         with pytest.raises(ValueError):
             fit_cbd(np.zeros((2, 2)), np.zeros((2, 2)), [60, 61], [2000, 2001])
+
+    def test_underflowing_trial_point_warns_nothing(self):
+        # on this sparse grid a damped-away trial point underflows a cell's
+        # death rate to 0; its -inf log-likelihood is the intended rejection
+        # and must not reach the user as a divide-by-zero RuntimeWarning
+        rng = np.random.default_rng(0)
+        m, n = int(rng.integers(5, 8)), int(rng.integers(6, 23))
+        ages, years = np.arange(60, 60 + m), np.arange(2000, 2000 + n)
+        E = rng.uniform(5, 200, (n, m))
+        eta = (-3 + 0.1 * (ages - ages.mean())[None, :]
+               - 0.02 * (years - years.mean())[:, None])
+        D = rng.poisson(E * death_rate(eta)).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = fit_cbd(D, E, ages, years)
+        assert (m, n) == (7, 16)
+        assert f.converged and f.n_sweeps == 255
+        assert f.loglik == pytest.approx(-196.5594177586721, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("grid", ["a6", "corners"])
     def test_reported_loglik_is_the_loglik_of_the_fitted_curves(self, grid):

@@ -59,6 +59,23 @@ class TestFitCommand:
         assert doc["model"] == "cbd"
         assert abs(doc["constraint_residuals"][0]) <= 1e-6
 
+    def test_cbd_fit_rejects_a_bad_count_cell(self, tmp_path, capsys):
+        # the fit used to fall back to counts synthesized from the rates
+        lines = ["year,age,mx,deaths,exposure"]
+        for t in range(1990, 2010):
+            for x in range(60, 64):
+                E = 0.0 if (t, x) == (1995, 62) else 1e4
+                lines.append(f"{t},{x},0.02,{0.02 * E!r},{E!r}")
+        path = tmp_path / "counts.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "fit", "--model", "cbd", "--input", path, "--ages", "60:63",
+            "--years", "1990:2009", "--out", tmp_path / "run",
+        )
+        assert code == EXIT_ERROR
+        assert "year=1995, age=62" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "fit.json").exists()
+
     def test_missing_input_names_path(self, tmp_path, capsys):
         code = run_cli(
             "fit", "--input", tmp_path / "nope.csv", "--format", "csv",

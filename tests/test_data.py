@@ -317,6 +317,33 @@ class TestWindowCounts:
         table = parse_table("year,age,mx\n2000,60,0.02\n", "csv")
         assert window_counts(table, (60, 60), (2000, 2000)) is None
 
+    @pytest.mark.parametrize("deaths, exposure", [("300", "0"), ("nan", "10000")],
+                             ids=["zero-exposure", "nan-deaths"])
+    def test_bad_cell_raises_naming_the_first_one(self, deaths, exposure):
+        # no silent fallback: a window with a bad count cell used to give None,
+        # and the CBD fit then ran on counts synthesized from the rates
+        from mortcast.data import window_counts
+
+        text = (
+            "year,age,mx,deaths,exposure\n"
+            "2001,60,0.021,nan,10000\n"  # bad too, but later in (year, age) order
+            "2000,60,0.02,200,10000\n"
+            f"2000,61,0.03,{deaths},{exposure}\n"
+            "2001,61,0.031,310,10000\n"
+        )
+        table = parse_table(text, "csv")
+        with pytest.raises(ValueError, match=r"year=2000, age=61"):
+            window_counts(table, (60, 61), (2000, 2001))
+        assert window_counts(table, (60, 60), (2000, 2000)) is not None
+
+    @pytest.mark.parametrize("column", ["deaths", "exposure"])
+    def test_count_columns_come_as_a_pair(self, column):
+        with pytest.raises(ParseError, match="pair") as err:
+            parse_table(f"year,age,mx,{column}\n2000,60,0.02,200\n", "csv")
+        assert err.value.line == 1
+        with pytest.raises(ValueError, match="pair"):
+            RawMortalityTable([2000], [60], [0.02], deaths=[200.0])
+
 
 class TestSurfaceValidation:
     def test_rejects_gap_in_years(self, small_surface):

@@ -274,6 +274,15 @@ class TestForecast:
         fc = forecast(f, h)
         np.testing.assert_allclose(stack_grid(fc.mean), expected_mean, atol=1e-8)
 
+    def test_posterior_at_horizon_zero_is_the_fit(self, rng):
+        # one posterior at every horizon: at 0 the cohort block is K3 itself
+        d = build_design([60, 61, 62], range(2000, 2006))
+        y = rng.normal(size=18)
+        f = pinned_fit(y, d, random_params(rng))
+        for re in (extended_random_effects(f, 0), blup(y, f)):
+            for name in ("gamma1", "cov1", "gamma2", "cov2", "gamma3", "cov3"):
+                np.testing.assert_array_equal(getattr(re, name), getattr(f.random, name))
+
     def test_interval_width_uses_fixed_quantile(self, rng):
         d = build_design([60, 61], range(2000, 2006))
         p = random_params(rng)
