@@ -22,15 +22,6 @@ from .mixed import MixedFit, _evaluated_posterior, stack_grid, unstack_vector
 SCHEMA_VERSION = 1
 
 
-def fit_to_dict(fit: MixedFit | CbdFit) -> dict:
-    """Serializable document for either model's fit."""
-    if isinstance(fit, MixedFit):
-        return _mixed_to_dict(fit)
-    if isinstance(fit, CbdFit):
-        return _cbd_to_dict(fit)
-    raise TypeError(f"unsupported fit type {type(fit).__name__}")
-
-
 def _window(ages, years) -> dict:
     return {
         "ages": [int(ages[0]), int(ages[-1])],
@@ -82,16 +73,6 @@ def _cbd_to_dict(fit: CbdFit) -> dict:
     }
 
 
-def dict_to_fit(doc: dict) -> MixedFit | CbdFit:
-    """Rebuild a fit object from its artifact document."""
-    model = doc.get("model")
-    if model not in ("mixed", "cbd"):
-        raise ValueError(f"unknown or missing model tag {model!r}")
-    ages, years = (np.arange(int(lo), int(hi) + 1) for lo, hi in
-                   (doc["window"]["ages"], doc["window"]["years"]))
-    return (_dict_to_mixed if model == "mixed" else _dict_to_cbd)(doc, ages, years)
-
-
 def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
     design = build_design(ages, years)
     params = KernelParams(**doc["params"])
@@ -132,8 +113,22 @@ def _dict_to_cbd(doc: dict, ages, years) -> CbdFit:
 
 
 def save_fit(fit: MixedFit | CbdFit, path) -> None:
-    Path(path).write_text(json.dumps(fit_to_dict(fit), indent=2, sort_keys=True) + "\n")
+    """Write either model's fit as its JSON artifact."""
+    if isinstance(fit, MixedFit):
+        doc = _mixed_to_dict(fit)
+    elif isinstance(fit, CbdFit):
+        doc = _cbd_to_dict(fit)
+    else:
+        raise TypeError(f"unsupported fit type {type(fit).__name__}")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_fit(path) -> MixedFit | CbdFit:
-    return dict_to_fit(json.loads(Path(path).read_text()))
+    """Rebuild a fit object from its JSON artifact."""
+    doc = json.loads(Path(path).read_text())
+    model = doc.get("model")
+    if model not in ("mixed", "cbd"):
+        raise ValueError(f"unknown or missing model tag {model!r}")
+    ages, years = (np.arange(int(lo), int(hi) + 1) for lo, hi in
+                   (doc["window"]["ages"], doc["window"]["years"]))
+    return (_dict_to_mixed if model == "mixed" else _dict_to_cbd)(doc, ages, years)

@@ -77,9 +77,13 @@ class BacktestPlan:
             raise ValueError("horizons must be positive")
         if len(set(self.horizons)) != len(self.horizons):
             raise ValueError("horizons must be distinct")
-        bad = [m for m in self.models if m not in MODELS]
-        if bad:
-            raise ValueError(f"unknown model(s) {bad}; choose from {MODELS}")
+        if not self.models or not set(self.models) <= set(MODELS):
+            raise ValueError(f"models must be a non-empty subset of {MODELS}, "
+                             f"got {self.models!r}")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.rw_divisor not in ("n", "n-1"):
+            raise ValueError(f"rw_divisor must be 'n' or 'n-1', got {self.rw_divisor!r}")
 
     def check_surface(self, surface: MortalitySurface) -> None:
         for name, window, axis in (
@@ -153,13 +157,7 @@ def _run_fit(surface, deaths, exposures, plan, model, train_end, served):
             fc = mixed_mod.forecast(fit, horizon)
             n_iter = fit.n_iter
         else:
-            if deaths is not None and exposures is not None:
-                Dw, Ew = deaths[:k], exposures[:k]
-            else:
-                Dw, Ew = cbd_mod.synthesize_counts(
-                    surface.q[:k], plan.synth_exposure
-                )
-            fit = cbd_mod.fit_cbd(Dw, Ew, surface.ages, train_years)
+            fit = cbd_mod.fit_cbd(deaths[:k], exposures[:k], surface.ages, train_years)
             drift = cbd_mod.estimate_rw(fit, divisor=plan.rw_divisor)
             fc = cbd_mod.forecast_cbd(fit, drift, horizon)
             n_iter = fit.n_sweeps
@@ -222,11 +220,15 @@ def run_backtest(
     Windows whose fit fails are excluded from the pooled average and listed
     in ``report.failures``; windows whose fit stopped without converging
     stay in the pooled average and are flagged per result (``converged``).
+    Without counts, the CBD fits read counts synthesized once from the
+    surface's rates at ``plan.synth_exposure``.
     """
     plan.check_surface(surface)
     if (deaths is None) != (exposures is None):
         raise ValueError("provide deaths and exposures together or not at all")
-    if deaths is not None and deaths.shape != surface.q.shape:
+    if deaths is None:
+        deaths, exposures = cbd_mod.synthesize_counts(surface.q, plan.synth_exposure)
+    if np.shape(deaths) != surface.q.shape or np.shape(exposures) != surface.q.shape:
         raise ValueError("deaths/exposures grids must match the surface")
 
     starts = {h: feasibility_start(surface.years, h, plan.windows) for h in plan.horizons}

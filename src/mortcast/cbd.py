@@ -74,7 +74,6 @@ class RwDrift:
     V: np.ndarray
     mu: float
     var_dgamma: float
-    divisor: str = "n"
 
 
 def linear_predictor(kappa1, kappa2, gamma3, ages, years, cohorts=None) -> np.ndarray:
@@ -233,8 +232,7 @@ def fit_cbd(
     flat_cols = cols.ravel()
 
     kappa1, kappa2 = _initial_curves(D, E, xw)
-    kappa1, kappa2, gamma3 = _apply_constraints(
-        kappa1, kappa2, np.zeros(cohorts.size), included, cohorts, ages, years)
+    gamma3 = np.zeros(cohorts.size)
 
     log_factorials = np.sum(w * _log_factorial(D))
 
@@ -358,7 +356,7 @@ def estimate_rw(fit: CbdFit, divisor: str = "n") -> RwDrift:
     mu = float(dg.mean())
     gden = dg.size if divisor == "n" else max(dg.size - 1, 1)
     var_dgamma = float(np.sum((dg - mu) ** 2) / gden)
-    return RwDrift(d=d, V=V, mu=mu, var_dgamma=var_dgamma, divisor=divisor)
+    return RwDrift(d=d, V=V, mu=mu, var_dgamma=var_dgamma)
 
 
 def forecast_cbd(
@@ -413,7 +411,10 @@ def synthesize_counts(q: np.ndarray, exposure: float = 1e5):
     constant, D = E * m (non-integer counts are fine for the fitting
     routines).
     """
+    exposure = float(exposure)
+    if not (np.isfinite(exposure) and exposure > 0):
+        raise ValueError(f"exposure must be positive and finite, got {exposure!r}")
     q = np.asarray(q, dtype=float)
     m = initial_to_central(q)
-    E = np.full_like(q, float(exposure))
+    E = np.full_like(q, exposure)
     return E * m, E

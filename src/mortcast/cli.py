@@ -100,15 +100,26 @@ class RunConfig:
         return cfg
 
 
-def _parse_range(text: str, name: str) -> tuple[int, int]:
+def _range(text: str) -> tuple[int, int]:
+    """``LO:HI`` as an inclusive (lo, hi) pair."""
     try:
-        lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
+        lo, hi = map(int, text.split(":"))
     except ValueError:
-        raise UsageError(f"--{name} expects LO:HI, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects LO:HI, got {text!r}") from None
     if hi < lo:
-        raise UsageError(f"--{name} range {lo}:{hi} is reversed")
+        raise argparse.ArgumentTypeError(f"range {lo}:{hi} is reversed")
     return lo, hi
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects integers, got {text!r}") from None
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -122,9 +133,9 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="mortality table file")
         sp.add_argument("--format", choices=["hmd_1x1", "csv"], default="csv")
         sp.add_argument("--sex", choices=["female", "male", "total"], default="total")
-        sp.add_argument("--ages", default="60:89",
+        sp.add_argument("--ages", type=_range, default="60:89",
                         help="inclusive age window LO:HI (default 60:89)")
-        sp.add_argument("--years", help="inclusive year window LO:HI")
+        sp.add_argument("--years", type=_range, help="inclusive year window LO:HI")
         sp.add_argument(
             "--clamp-q",
             nargs="?",
@@ -166,9 +177,9 @@ def _parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("backtest", help="rolling-window evaluation")
     add_data_flags(b)
-    b.add_argument("--models", default="mixed,cbd",
+    b.add_argument("--models", type=_names, default="mixed,cbd",
                    help="comma-separated subset of mixed,cbd")
-    b.add_argument("--horizons", default="5,10,15,20")
+    b.add_argument("--horizons", type=_ints, default="5,10,15,20")
     b.add_argument("--windows", type=int, default=10)
     b.add_argument("--restarts", type=int, default=1)
     b.add_argument("--rw-divisor", choices=["n", "n-1"], default="n")
@@ -184,23 +195,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
         return RunConfig.from_json(path.read_text())
-    cfg = RunConfig(command=args.command)
-    parsed = ("ages", "years", "models", "horizons")  # text, parsed below
-    for f in fields(RunConfig):
-        if f.name not in parsed and hasattr(args, f.name):
-            setattr(cfg, f.name, getattr(args, f.name))
-    if getattr(args, "ages", None):
-        cfg.ages = _parse_range(args.ages, "ages")
-    if getattr(args, "years", None):
-        cfg.years = _parse_range(args.years, "years")
-    if getattr(args, "models", None):
-        cfg.models = tuple(m.strip() for m in args.models.split(",") if m.strip())
-    if getattr(args, "horizons", None) and args.command == "backtest":
-        try:
-            cfg.horizons = tuple(int(h) for h in args.horizons.split(","))
-        except ValueError:
-            raise UsageError(f"--horizons expects integers, got {args.horizons!r}")
-    return cfg
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
 def _load_surface(cfg: RunConfig):
@@ -233,9 +229,6 @@ def cmd_fit(cfg: RunConfig) -> int:
     surface, counts = _load_surface(cfg)
     if cfg.split_year is not None:
         surface, _ = split_train_test(surface, cfg.split_year)
-        if counts is not None:
-            k = surface.n_years
-            counts = (counts[0][:k], counts[1][:k])
     out_dir = Path(cfg.out)
     t0 = time.perf_counter()
     if cfg.model == "mixed":
@@ -257,7 +250,7 @@ def cmd_fit(cfg: RunConfig) -> int:
                 f"{name}={getattr(fit.params, name):.4g}"
                 for name in fit.params.NAMES
             ),
-            f"beta: [{fit.fixed.beta1:.4f}, {fit.fixed.beta2:.4f}]",
+            f"beta: [{fit.fixed.beta[0]:.4f}, {fit.fixed.beta[1]:.4f}]",
             f"converged: {converged} ({fit.n_iter} iterations)",
         ]
         if fit.sigma2_boundary:
@@ -271,11 +264,9 @@ def cmd_fit(cfg: RunConfig) -> int:
             ]:
                 _write(out_dir, f"matrix_{name}.csv", _matrix_csv(mat))
     else:
-        if counts is not None:
-            D, E = counts
-        else:
-            D, E = cbd_mod.synthesize_counts(surface.q, cfg.synth_exposure)
-        fit = cbd_mod.fit_cbd(D, E, surface.ages, surface.years)
+        D, E = counts or cbd_mod.synthesize_counts(surface.q, cfg.synth_exposure)
+        k = surface.n_years  # counts span the whole --years window
+        fit = cbd_mod.fit_cbd(D[:k], E[:k], surface.ages, surface.years)
         converged = fit.converged
         r1, r2 = fit.constraint_residuals
         summary = [
@@ -295,7 +286,6 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def _forecast_rows(fc, alpha):
-    level = round((1.0 - alpha) * 100)
     lo, hi = fc.interval(alpha)
     n_fc = fc.horizon
     rows = []
@@ -311,7 +301,7 @@ def _forecast_rows(fc, alpha):
                     float(hi[i, j]),
                 )
             )
-    return rows, level
+    return rows
 
 
 def cmd_forecast(cfg: RunConfig) -> int:
@@ -334,7 +324,8 @@ def cmd_forecast(cfg: RunConfig) -> int:
         drift = cbd_mod.estimate_rw(fit, divisor=cfg.rw_divisor)
         fc = cbd_mod.forecast_cbd(fit, drift, cfg.horizon, cfg.alpha)
 
-    rows, level = _forecast_rows(fc, cfg.alpha)
+    rows = _forecast_rows(fc, cfg.alpha)
+    level = f"{100 * (1 - cfg.alpha):g}"  # the band's exact coverage, in percent
     out_dir = Path(cfg.out)
     head = f"year,age,mean_logit,q_mean,lo{level},hi{level}\n"
     body = "".join(

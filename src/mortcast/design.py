@@ -99,10 +99,6 @@ class DesignSet:
         t0 = int(self.train_years[0])
         return np.arange(t0, t0 + self.n_train + self.horizon)
 
-    @property
-    def n_train_cohorts(self) -> int:
-        return self.n_train + self.n_ages - 1
-
 
 def build_design(ages, train_years, horizon: int = 0) -> DesignSet:
     """Construct the stacked design for a training window, optionally extended.
@@ -173,9 +169,8 @@ def se_kernel(labels_a, labels_b, amplitude: float, length: float) -> np.ndarray
 def build_covariances(
     params: KernelParams, design: DesignSet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Training covariance matrices (K1, K2, K3) for a design with horizon 0."""
-    if design.horizon != 0:
-        raise ValueError("build_covariances expects a training design (horizon 0)")
+    """Covariance matrices (K1, K2, K3) of a design's random effects; K3
+    spans the design's whole cohort axis, forecast extension included."""
     K1 = se_kernel(design.ages, design.ages, params.h1, params.l1)
     K2 = se_kernel(design.ages, design.ages, params.h2, params.l2)
     K3 = se_kernel(design.cohort_index, design.cohort_index, params.c, params.s)
@@ -195,11 +190,8 @@ def build_forecast_covariances(
     K3_star_star : (n+h+m-1) x (n+h+m-1)
         Self-covariance of the extended cohort labels.
     """
-    ext = design_h.cohort_index
-    train = ext[: design_h.n_train_cohorts]
-    K3_star = se_kernel(ext, train, params.c, params.s)
-    K3_star_star = se_kernel(ext, ext, params.c, params.s)
-    return K3_star, K3_star_star
+    K3_star_star = build_covariances(params, design_h)[2]
+    return K3_star_star[:, : design_h.n_train + design_h.n_ages - 1], K3_star_star
 
 
 def assemble_V(params: KernelParams, design: DesignSet) -> np.ndarray:

@@ -43,15 +43,6 @@ class Forecast:
         if np.any(self.variance < 0):
             raise ValueError("negative forecast variance")
 
-    @property
-    def forecast_years(self) -> np.ndarray:
-        """The extrapolated years only."""
-        return self.years[self.years.size - self.horizon:]
-
-    def forecast_mean(self) -> np.ndarray:
-        """Mean grid restricted to the extrapolated years."""
-        return self.mean[self.years.size - self.horizon:]
-
     def interval(self, alpha: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) bounds mean -/+ z_alpha * sqrt(variance), per cell."""
         half = normal_quantile(alpha) * np.sqrt(self.variance)

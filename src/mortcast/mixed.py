@@ -31,7 +31,6 @@ from .design import (
     build_design,
     build_forecast_covariances,
     cholesky_with_jitter,
-    se_kernel,
 )
 from .errors import FactorizationError
 from .forecasts import Forecast
@@ -50,14 +49,6 @@ class FixedEffects:
 
     beta: np.ndarray
     cov_beta: np.ndarray
-
-    @property
-    def beta1(self) -> float:
-        return float(self.beta[0])
-
-    @property
-    def beta2(self) -> float:
-        return float(self.beta[1])
 
 
 @dataclass(frozen=True)
@@ -595,12 +586,7 @@ def simulate(design: DesignSet, params: KernelParams, beta, rng) -> np.ndarray:
     internally consistent.
     """
     beta = np.asarray(beta, dtype=float)
-    K1 = se_kernel(design.ages, design.ages, params.h1, params.l1)
-    K2 = se_kernel(design.ages, design.ages, params.h2, params.l2)
-    K3 = se_kernel(design.cohort_index, design.cohort_index, params.c, params.s)
-    g1 = _sample_psd(K1, rng)
-    g2 = _sample_psd(K2, rng)
-    g3 = _sample_psd(K3, rng)
+    g1, g2, g3 = (_sample_psd(K, rng) for K in build_covariances(params, design))
     N = design.T.shape[0]
     eps = math.sqrt(params.sigma2) * rng.standard_normal(N)
     return design.T @ beta + design.Z1 @ g1 + design.Z2 @ g2 + design.Z3 @ g3 + eps

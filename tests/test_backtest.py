@@ -477,12 +477,50 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             BacktestPlan(windows=0)
 
+    @pytest.mark.parametrize("bad, match", [
+        (dict(restarts=0), "restarts must be >= 1"),
+        (dict(rw_divisor="n-2"), "rw_divisor must be"),
+        (dict(models=()), "non-empty subset"),
+    ])
+    def test_bad_policy_rejected(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            BacktestPlan(**bad)
+
     def test_mismatched_counts_rejected(self):
         surface = cbd_exact_surface((60, 62), (1990, 2010))
         plan = BacktestPlan(ages=(60, 62), horizons=(2,), windows=2,
                             models=("cbd",))
         with pytest.raises(ValueError):
             run_backtest(plan, surface, deaths=np.ones((3, 3)), exposures=None)
+
+    def test_misshaped_exposures_rejected_before_any_fit(self, monkeypatch):
+        surface = cbd_exact_surface((60, 62), (1990, 2010))
+        plan = BacktestPlan(ages=(60, 62), horizons=(2,), windows=2,
+                            models=("cbd",), workers=1)
+        D, _ = bt.cbd_mod.synthesize_counts(surface.q)
+
+        def no_fit(*args, **kw):
+            raise AssertionError("fit_cbd called")
+
+        monkeypatch.setattr(bt.cbd_mod, "fit_cbd", no_fit)
+        with pytest.raises(ValueError, match="must match the surface"):
+            run_backtest(plan, surface, deaths=D, exposures=np.ones((3, 3)))
+
+    def test_rate_only_counts_synthesized_once(self, monkeypatch):
+        surface = cbd_exact_surface((60, 62), (1990, 2010))
+        plan = BacktestPlan(ages=(60, 62), horizons=(2, 3), windows=2,
+                            models=("cbd",), workers=1)
+        real = bt.cbd_mod.synthesize_counts
+        calls = []
+
+        def counted(q, exposure=1e5):
+            calls.append(q.shape)
+            return real(q, exposure)
+
+        monkeypatch.setattr(bt.cbd_mod, "synthesize_counts", counted)
+        report = run_backtest(plan, surface)
+        assert calls == [surface.q.shape]
+        assert not report.failures and len(report.results) == 4
 
     def test_plan_window_must_match_surface(self):
         surface = cbd_exact_surface((60, 62), (1990, 2010))

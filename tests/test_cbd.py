@@ -475,3 +475,8 @@ class TestSynthesizeCounts:
         D, E = synthesize_counts(q, exposure=1e5)
         np.testing.assert_allclose(-np.expm1(-D / E), q, rtol=1e-12)
         assert np.all(E == 1e5)
+
+    @pytest.mark.parametrize("exposure", [0.0, -1e5, np.nan, np.inf])
+    def test_rejects_an_exposure_that_is_not_positive_and_finite(self, exposure):
+        with pytest.raises(ValueError, match="exposure must be positive"):
+            synthesize_counts(np.full((3, 2), 0.01), exposure)

@@ -183,6 +183,16 @@ class TestForecastCommand:
         years = sorted({int(l.split(",")[0]) for l in lines[1:]})
         assert years == [2010, 2011, 2012]
 
+    def test_interval_columns_carry_the_exact_level(self, fit_dir, tmp_path):
+        out = tmp_path / "fc"
+        code = run_cli("forecast", "--fit", fit_dir / "fit.json", "--horizon",
+                       "2", "--alpha", "0.025", "--out", out)
+        assert code == EXIT_OK
+        head = (out / "forecast.csv").read_text().splitlines()[0]
+        assert head == "year,age,mean_logit,q_mean,lo97.5,hi97.5"
+        head = (out / "plot_data.csv").read_text().splitlines()[0]
+        assert head == "age,year,mean_logit,lo97.5,hi97.5"
+
     def test_q_mean_is_logistic_of_logit(self, fit_dir, tmp_path):
         out = tmp_path / "fc"
         run_cli("forecast", "--fit", fit_dir / "fit.json", "--horizon", "2",
@@ -294,6 +304,23 @@ class TestBacktestCommand:
             )
             == EXIT_ERROR
         )
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--restarts", "0"), "restarts must be >= 1"),
+        (("--exposure", "0"), "exposure must be positive"),
+        (("--models", ""), "non-empty subset"),
+        (("--horizons", "2,x"), "--horizons"),
+    ])
+    def test_usage_errors_exit_one_before_any_fit(self, data_csv, tmp_path, capsys,
+                                                  flags, message):
+        code = run_cli(
+            "backtest", "--input", data_csv, "--format", "csv", "--ages",
+            "60:63", "--years", "1990:2012", "--horizons", "2", "--windows",
+            "2", *flags, "--out", tmp_path,
+        )
+        assert code == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
 
 class TestRunConfig:

@@ -190,10 +190,15 @@ class TestCovariances:
         K1, _, _ = build_covariances(tiny_amplitude_params(0.1), d)
         assert np.max(np.abs(K1)) <= 1e-300
 
-    def test_requires_training_design(self):
-        d = build_design([60, 61], [2000, 2001], horizon=1)
-        with pytest.raises(ValueError):
-            build_covariances(random_params(np.random.default_rng(0)), d)
+    def test_extended_design_spans_its_cohort_axis(self, rng):
+        p = random_params(rng)
+        d0 = build_design(range(60, 64), range(2000, 2006))
+        dh = build_design(range(60, 64), range(2000, 2006), horizon=3)
+        K3 = build_covariances(p, d0)[2]
+        K3h = build_covariances(p, dh)[2]
+        assert K3h.shape == (dh.cohort_index.size,) * 2
+        np.testing.assert_array_equal(K3h, build_forecast_covariances(p, dh)[1])
+        np.testing.assert_array_equal(K3h[: K3.shape[0], : K3.shape[0]], K3)
 
 
 class TestForecastCovariances:
