@@ -343,19 +343,18 @@ def estimate_rw(fit: CbdFit, divisor: str = "n") -> RwDrift:
         raise ValueError(f"divisor must be 'n' or 'n-1', got {divisor!r}")
     if fit.years.size < 3:
         raise ValueError("need at least 3 fitted years to estimate the random walk")
+    ddof = 0 if divisor == "n" else 1
     dk = np.column_stack([np.diff(fit.kappa1), np.diff(fit.kappa2)])
     d = dk.mean(axis=0)
     centered = dk - d
-    denom = dk.shape[0] if divisor == "n" else dk.shape[0] - 1
-    V = (centered.T @ centered) / denom
+    V = (centered.T @ centered) / (dk.shape[0] - ddof)
 
     g = fit.gamma3[fit.included]
     if g.size < 2:
         raise ValueError("fitted cohort series too short for drift estimation")
     dg = np.diff(g)
     mu = float(dg.mean())
-    gden = dg.size if divisor == "n" else max(dg.size - 1, 1)
-    var_dgamma = float(np.sum((dg - mu) ** 2) / gden)
+    var_dgamma = float(np.sum((dg - mu) ** 2) / max(dg.size - ddof, 1))
     return RwDrift(d=d, V=V, mu=mu, var_dgamma=var_dgamma)
 
 
@@ -368,14 +367,12 @@ def forecast_cbd(
     mapped through [1, x - x_bar]. Cohorts beyond the last fitted one take
     the univariate recursion from the last fitted cohort value, stepping
     over the sparse excluded labels, and contribute (extrapolated steps) *
-    var_dgamma to the cell variance. Training-year rows carry the fitted
-    values with zero variance.
+    var_dgamma to the cell variance.
     """
     if horizon < 1:
         raise ValueError("forecast horizon must be >= 1")
     steps = np.arange(1, horizon + 1)
     years_fc = fit.years[-1] + steps
-    years_all = np.concatenate([fit.years, years_fc])
 
     # cohort axis extended to the youngest forecast cohort
     last_fitted = int(fit.cohorts[fit.included][-1])
@@ -387,21 +384,13 @@ def forecast_cbd(
 
     kappa1 = float(fit.kappa1[-1]) + steps * drift.d[0]
     kappa2 = float(fit.kappa2[-1]) + steps * drift.d[1]
-    mean_fc = linear_predictor(kappa1, kappa2, gamma, fit.ages, years_fc, cohorts)
+    mean = linear_predictor(kappa1, kappa2, gamma, fit.ages, years_fc, cohorts)
 
     load = np.column_stack([np.ones(fit.ages.size), fit.ages - fit.x_bar])
     kappa_var = np.einsum("ja,ab,jb->j", load, drift.V, load)
     cohort_steps = ahead[cohort_cols(fit.ages, years_fc, cohorts)]
-    var_fc = steps[:, None] * kappa_var[None, :] + cohort_steps * drift.var_dgamma
-
-    in_sample = fitted_logit(fit)
-    return Forecast(
-        ages=fit.ages,
-        years=years_all,
-        horizon=horizon,
-        mean=np.vstack([in_sample, mean_fc]),
-        variance=np.vstack([np.zeros_like(in_sample), var_fc]),
-    )
+    variance = steps[:, None] * kappa_var[None, :] + cohort_steps * drift.var_dgamma
+    return Forecast(ages=fit.ages, years=years_fc, mean=mean, variance=variance)
 
 
 def synthesize_counts(q: np.ndarray, exposure: float = 1e5):

@@ -92,12 +92,8 @@ class RunConfig:
         unknown = sorted(set(doc) - known)
         if unknown:
             raise UsageError(f"unknown config field(s): {unknown}")
-        cfg = cls(**doc)
-        for name in ("ages", "years", "models", "horizons"):
-            v = getattr(cfg, name)
-            if isinstance(v, list):
-                setattr(cfg, name, tuple(v))
-        return cfg
+        # JSON has no tuples, and the list-valued fields are the tuple ones
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 def _range(text: str) -> tuple[int, int]:
@@ -287,9 +283,8 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def _forecast_rows(fc, alpha):
     lo, hi = fc.interval(alpha)
-    n_fc = fc.horizon
     rows = []
-    for i in range(fc.years.size - n_fc, fc.years.size):
+    for i in range(fc.years.size):
         for j, age in enumerate(fc.ages):
             rows.append(
                 (
@@ -339,7 +334,7 @@ def cmd_forecast(cfg: RunConfig) -> int:
     _write(out_dir, "plot_data.csv", plot)
     _write(out_dir, "run_config.json", cfg.to_json())
     print(
-        f"{tag} forecast: {fc.horizon} years x {fc.ages.size} ages "
+        f"{tag} forecast: {fc.years.size} years x {fc.ages.size} ages "
         f"({len(rows)} rows) written to {out_dir / 'forecast.csv'}"
     )
     return EXIT_OK

@@ -119,7 +119,8 @@ class RawMortalityTable:
     deaths, exposures : float arrays or None
         Optional observed death counts and central exposures, aligned with
         rows; both or neither. NaN marks a row without the value, which
-        :func:`window_counts` rejects inside a window.
+        :func:`window_counts` rejects inside a window. A row's rate must
+        match D/E (central) or 1 - exp(-D/E) (initial) to 1e-6 relative.
     rate_kind : {"central", "initial"}
     """
 
@@ -156,6 +157,8 @@ class RawMortalityTable:
             e = np.asarray(self.exposures, dtype=float)
             ok = np.isfinite(d) & np.isfinite(e) & (e > 0)
             implied = np.where(ok, d / np.where(ok, e, 1.0), np.nan)
+            if self.rate_kind == "initial":  # D/E is a central rate
+                implied = -np.expm1(-implied)
             bad = ok & (
                 np.abs(rates - implied) > 1e-6 * np.maximum(rates, 1e-12)
             )
@@ -164,7 +167,8 @@ class RawMortalityTable:
                 raise ValueError(
                     f"rate inconsistent with deaths/exposure at "
                     f"(year={years[i]}, age={ages[i]}): "
-                    f"m={rates[i]!r} vs D/E={implied[i]!r}"
+                    f"{self.rate_kind} rate {float(rates[i])!r} vs "
+                    f"{float(implied[i])!r} implied by D/E"
                 )
 
     def lookup(self, year: int, age: int) -> int:
@@ -354,17 +358,6 @@ class MortalitySurface:
     def n_ages(self) -> int:
         return self.ages.size
 
-    def to_csv(self) -> str:
-        """Serialize as ``year,age,q,logit_q`` rows (round-trip precision)."""
-        out = io.StringIO()
-        out.write("year,age,q,logit_q\n")
-        for i, t in enumerate(self.years):
-            for j, x in enumerate(self.ages):
-                out.write(
-                    f"{t},{x},{float(self.q[i, j])!r},{float(self.y[i, j])!r}\n"
-                )
-        return out.getvalue()
-
 
 def _axis(spec, name: str) -> np.ndarray:
     """Normalize an (lo, hi) pair or iterable of consecutive ints to an array."""
@@ -390,18 +383,22 @@ def build_surface(
     ----------
     table : RawMortalityTable
     ages, years : (lo, hi) inclusive pairs or iterables of consecutive ints
-    clamp_q : float, optional
-        If given, zero (or sub-clamp) rates are replaced by this value
-        instead of raising ``NonFiniteLogitError``. Off by default: silent
-        imputation must be an explicit choice.
+    clamp_q : float in (0, 1), optional
+        If given, rates q <= 0 are replaced by this value instead of
+        raising ``NonFiniteLogitError``. Off by default: silent imputation
+        must be an explicit choice.
 
     Raises
     ------
+    ValueError
+        ``clamp_q`` is given but not strictly inside (0, 1).
     MissingCellError
         A requested cell is not in the table.
     NonFiniteLogitError
         A cell has a NaN q, q >= 1, or q <= 0 with clamping off.
     """
+    if clamp_q is not None and not 0.0 < clamp_q < 1.0:
+        raise ValueError(f"clamp_q must lie in (0, 1), got {clamp_q!r}")
     ages, years, rows = _cell_rows(table, ages, years)
     r = table.rates[rows]
     central = table.rate_kind == "central"

@@ -24,14 +24,14 @@ def normal_quantile(alpha: float) -> float:
 class Forecast:
     """Per-cell forecast means and variances on the logit scale.
 
-    Grids cover every modelled year (training years first, then the
-    ``horizon`` extrapolated ones) with rows indexing years and columns
-    indexing ages, matching ``MortalitySurface``.
+    Grids cover the forecast years only, the h years after the training
+    window, with rows indexing years and columns indexing ages, matching
+    ``MortalitySurface``. In-sample values come from the model's own
+    function (``mixed.fitted_surface``, ``cbd.fitted_logit``).
     """
 
     ages: np.ndarray
     years: np.ndarray
-    horizon: int
     mean: np.ndarray
     variance: np.ndarray
 

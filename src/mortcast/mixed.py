@@ -561,7 +561,8 @@ def forecast(fit: MixedFit, horizon: int, alpha: float = 0.05) -> Forecast:
     dh, fixed, re = _evaluated_posterior(
         fit.y, fit.design, fit.params, fit.beta_cov_policy, horizon)
     mean, var = _moments(dh, fixed, re, fit.params.sigma2)
-    return Forecast(ages=dh.ages, years=dh.years, horizon=horizon, mean=mean, variance=var)
+    n = dh.n_train
+    return Forecast(ages=dh.ages, years=dh.years[n:], mean=mean[n:], variance=var[n:])
 
 
 def extended_random_effects(fit: MixedFit, horizon: int) -> RandomEffects:

@@ -398,7 +398,7 @@ class TestForecastCbd:
         np.testing.assert_allclose(rw.d, 0.0, atol=0)
         assert rw.mu == 0.0
         fc = forecast_cbd(f, rw, horizon=1)
-        np.testing.assert_allclose(fc.mean[-1], fc.mean[-2], atol=1e-12)
+        np.testing.assert_allclose(fc.mean[-1], fitted_logit(f)[-1], atol=1e-12)
 
     def test_kappa_variance_scales_linearly_in_horizon(self):
         ages = np.arange(60, 70)
@@ -446,20 +446,19 @@ class TestForecastCbd:
                 )
                 load = np.array([1.0, x - x_bar])
                 var = load @ (k * rw.V) @ load + steps * rw.var_dgamma
-                i = f.years.size + k - 1
+                i = k - 1
                 assert fc.mean[i, j] == pytest.approx(mean, abs=1e-12)
                 assert fc.variance[i, j] == pytest.approx(var, abs=1e-12)
 
-    def test_training_rows_carry_fitted_values(self):
+    def test_grids_cover_the_forecast_years_only(self):
         ages = np.arange(60, 64)
         years = np.arange(2000, 2008)
         k1, k2, g3 = true_curves(ages, years)
         D, E = exact_counts(ages, years, k1, k2, g3, exposure=1e6)
         f = fit_cbd(D, E, ages, years)
-        rw = estimate_rw(f)
-        fc = forecast_cbd(f, rw, horizon=3)
-        np.testing.assert_allclose(fc.mean[: years.size], fitted_logit(f), atol=0)
-        np.testing.assert_array_equal(fc.variance[: years.size], 0.0)
+        fc = forecast_cbd(f, estimate_rw(f), horizon=3)
+        np.testing.assert_array_equal(fc.years, [2008, 2009, 2010])
+        assert fc.mean.shape == fc.variance.shape == (3, ages.size)
 
     def test_horizon_validated(self):
         f = make_fit(np.arange(60, 64), np.arange(2000, 2005),

@@ -76,6 +76,35 @@ class TestFitCommand:
         assert "year=1995, age=62" in capsys.readouterr().err
         assert not (tmp_path / "run" / "fit.json").exists()
 
+    def test_cbd_fit_on_qx_with_counts(self, tmp_path):
+        # D/E is a central rate; qx with counts was always rejected as
+        # inconsistent because the check compared qx with D/E itself
+        surface = make_surface((60, 63), (1990, 2009), np.random.default_rng(99))
+        D = 1e4 * initial_to_central(surface.q)
+        lines = ["year,age,qx,deaths,exposure"]
+        for i, t in enumerate(surface.years):
+            for j, x in enumerate(surface.ages):
+                lines.append(f"{t},{x},{float(surface.q[i, j])!r},{float(D[i, j])!r},1e4")
+        path = tmp_path / "qx_counts.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "fit", "--model", "cbd", "--input", path, "--ages", "60:63",
+            "--years", "1990:2009", "--out", tmp_path / "run",
+        )
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("clamp", ["0", "-0.5", "nan"])
+    def test_clamp_q_outside_the_unit_interval_exits_one(self, tmp_path, capsys,
+                                                         clamp):
+        path = tmp_path / "zero.csv"
+        path.write_text("year,age,mx\n" + "".join(
+            f"{t},{x},{0.0 if (t, x) == (2001, 61) else 0.02}\n"
+            for t in range(2000, 2004) for x in (60, 61)))
+        code = run_cli("fit", "--input", path, "--ages", "60:61", "--years",
+                       "2000:2003", "--clamp-q", clamp, "--out", tmp_path / "run")
+        assert code == EXIT_ERROR
+        assert "clamp_q must lie in (0, 1)" in capsys.readouterr().err
+
     def test_missing_input_names_path(self, tmp_path, capsys):
         code = run_cli(
             "fit", "--input", tmp_path / "nope.csv", "--format", "csv",

@@ -275,14 +275,12 @@ class TestBuildSurface:
             got = build_surface(table, (60, 62), (2000, 2002), clamp_q=clamp_q)
             assert got.q.tobytes() == want.tobytes()
 
-    def test_csv_serialization_round_trips(self, small_surface):
-        text = small_surface.to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "year,age,q,logit_q"
-        assert len(lines) == 1 + small_surface.q.size
-        _, _, qtxt, ytxt = lines[1].split(",")
-        assert float(qtxt) == small_surface.q[0, 0]
-        assert float(ytxt) == small_surface.y[0, 0]
+    @pytest.mark.parametrize("clamp_q", [0.0, -0.5, math.nan, 1.0])
+    def test_clamp_q_must_lie_inside_the_unit_interval(self, clamp_q):
+        # an invalid clamp used to surface as "rate q >= 1" at the q = 0 cell
+        table = _table_from_m([60, 61], [2000], [[0.0, 0.02]])
+        with pytest.raises(ValueError, match=r"clamp_q must lie in \(0, 1\)"):
+            build_surface(table, (60, 61), (2000, 2000), clamp_q=clamp_q)
 
 
 class TestWindowCounts:
@@ -335,6 +333,21 @@ class TestWindowCounts:
         with pytest.raises(ValueError, match=r"year=2000, age=61"):
             window_counts(table, (60, 61), (2000, 2001))
         assert window_counts(table, (60, 60), (2000, 2000)) is not None
+
+    def test_qx_table_with_counts(self):
+        # D/E is a central rate, so a qx cell matches 1 - exp(-D/E), not D/E
+        from mortcast.data import window_counts
+
+        D = np.array([[200.0, 300.0], [210.0, 310.0]])
+        q = -np.expm1(-D / 1e4)
+        text = "year,age,qx,deaths,exposure\n" + "".join(
+            f"{t},{x},{float(q[i, j])!r},{float(D[i, j])!r},10000\n"
+            for i, t in enumerate((2000, 2001)) for j, x in enumerate((60, 61)))
+        D_got, E_got = window_counts(parse_table(text, "csv"), (60, 61), (2000, 2001))
+        np.testing.assert_array_equal(D_got, D)
+        np.testing.assert_array_equal(E_got, np.full((2, 2), 1e4))
+        with pytest.raises(ValueError, match=r"inconsistent .*year=2000, age=60"):
+            parse_table("year,age,qx,deaths,exposure\n2000,60,0.02,200,10000\n", "csv")
 
     @pytest.mark.parametrize("column", ["deaths", "exposure"])
     def test_count_columns_come_as_a_pair(self, column):

@@ -18,6 +18,7 @@ from mortcast.mixed import (
     blup,
     extended_random_effects,
     fit,
+    fitted_surface,
     forecast,
     gls_beta,
     grad_loglik,
@@ -121,8 +122,9 @@ def test_engine_matches_dense_oracles(regime, rng):
     _close(ext.gamma3, oracle["gamma3"], rtol, "extended gamma3")
     _close(ext.cov3, oracle["cov3"], rtol, "extended cov3")
     fc = forecast(f, horizon)
-    _close(stack_grid(fc.mean), mean, rtol, "forecast mean")
-    _close(stack_grid(fc.variance), var, rtol, "forecast variance")
+    fitted_mean, fitted_var = fitted_surface(f)
+    _close(stack_grid(np.vstack([fitted_mean, fc.mean])), mean, rtol, "mean")
+    _close(stack_grid(np.vstack([fitted_var, fc.variance])), var, rtol, "variance")
 
 
 def test_no_dense_V_on_the_hot_path(rng, tmp_path, monkeypatch):

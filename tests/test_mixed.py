@@ -244,14 +244,12 @@ class TestFittedSurface:
 
 
 class TestForecast:
-    def test_training_rows_equal_fitted_surface(self, rng):
+    def test_grids_cover_the_forecast_years_only(self, rng):
         d = build_design([60, 61, 62], range(2000, 2008))
-        p = random_params(rng)
-        y = rng.normal(size=24)
-        f = pinned_fit(y, d, p)
-        fitted_mean, _ = fitted_surface(f)
+        f = pinned_fit(rng.normal(size=24), d, random_params(rng))
         fc = forecast(f, horizon=4)
-        np.testing.assert_allclose(fc.mean[:8], fitted_mean, atol=1e-10)
+        np.testing.assert_array_equal(fc.years, [2008, 2009, 2010, 2011])
+        assert fc.mean.shape == fc.variance.shape == (4, 3)
 
     def test_matches_joint_conditioning_oracle(self, rng):
         d = build_design([60, 61, 62], range(2000, 2004))  # n=4, m=3
@@ -271,8 +269,8 @@ class TestForecast:
             + dh.Z2 @ oracle["gamma2"]
             + dh.Z3 @ oracle["gamma3"]
         )
-        fc = forecast(f, h)
-        np.testing.assert_allclose(stack_grid(fc.mean), expected_mean, atol=1e-8)
+        mean = np.vstack([fitted_surface(f)[0], forecast(f, h).mean])
+        np.testing.assert_allclose(stack_grid(mean), expected_mean, atol=1e-8)
 
     def test_posterior_at_horizon_zero_is_the_fit(self, rng):
         # one posterior at every horizon: at 0 the cohort block is K3 itself
