@@ -39,7 +39,6 @@ def _mixed_to_dict(fit: MixedFit) -> dict:
         "params": {name: getattr(fit.params, name) for name in KernelParams.NAMES},
         "beta": fit.fixed.beta.tolist(),
         "cov_beta": fit.fixed.cov_beta.tolist(),
-        "beta_cov_policy": fit.beta_cov_policy,
         "gamma1": fit.random.gamma1.tolist(),
         "var_gamma1": np.diag(fit.random.cov1).tolist(),
         "gamma2": fit.random.gamma2.tolist(),
@@ -77,8 +76,7 @@ def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
     design = build_design(ages, years)
     params = KernelParams(**doc["params"])
     y = stack_grid(np.asarray(doc["y"], dtype=float))
-    policy = doc.get("beta_cov_policy", "scaled")
-    _, fixed, random = _evaluated_posterior(y, design, params, policy)
+    fixed, random = _evaluated_posterior(y, design, params)
     return MixedFit(
         params=params,
         fixed=fixed,
@@ -90,7 +88,6 @@ def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
         n_iter=int(doc["n_iter"]),
         sigma2_boundary=bool(doc["sigma2_boundary"]),
         y=y,
-        beta_cov_policy=policy,
     )
 
 

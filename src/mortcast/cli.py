@@ -1,8 +1,8 @@
 """Command-line entry point: fit, forecast and backtest as reproducible runs.
 
-Every command writes ``run_config.json`` next to its outputs; re-running
-with ``--config run_config.json`` reproduces the output files byte for
-byte. Machine-readable files carry round-trip float precision; the stdout
+Every command writes ``run_config.json`` next to its outputs; ``--config
+run_config.json`` reproduces them byte for byte on the same BLAS and thread
+count. Machine-readable files carry round-trip float precision; the stdout
 summary rounds to 4 decimals. Exit codes: 0 success, 1 usage or data
 error, 2 numerical non-convergence (artifacts are still written).
 """
@@ -76,7 +76,6 @@ class RunConfig:
     fit_path: str | None = None
     label: str = "dataset"
     clamp_q: float | None = None
-    var_beta: str = "scaled"
     rw_divisor: str = "n"
     synth_exposure: float = 1e5
     dump_matrices: bool = False
@@ -154,7 +153,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="train only on years up to this one (the rest of "
                    "the --years window is held out)")
     f.add_argument("--restarts", type=int, default=3)
-    f.add_argument("--var-beta", choices=["scaled", "gls"], default="scaled")
     f.add_argument("--exposure", type=float, default=1e5, dest="synth_exposure",
                    help="flat exposure used to synthesize counts for the "
                    "CBD fit when the input has no deaths/exposure columns")
@@ -229,13 +227,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     if cfg.model == "mixed":
         design = build_design(surface.ages, surface.years)
-        fit = mixed_mod.fit(
-            surface.y,
-            design,
-            restarts=cfg.restarts,
-            seed=cfg.seed,
-            beta_cov=cfg.var_beta,
-        )
+        fit = mixed_mod.fit(surface.y, design, restarts=cfg.restarts, seed=cfg.seed)
         converged = fit.converged
         summary = [
             f"model: mixed ({surface.years[0]}-{surface.years[-1]}, "

@@ -93,12 +93,6 @@ class DesignSet:
     def n_ages(self) -> int:
         return self.ages.size
 
-    @property
-    def years(self) -> np.ndarray:
-        """All modelled years, training plus any forecast extension."""
-        t0 = int(self.train_years[0])
-        return np.arange(t0, t0 + self.n_train + self.horizon)
-
 
 def build_design(ages, train_years, horizon: int = 0) -> DesignSet:
     """Construct the stacked design for a training window, optionally extended.

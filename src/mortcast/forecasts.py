@@ -40,6 +40,8 @@ class Forecast:
             raise ValueError("mean grid shape does not match axes")
         if self.variance.shape != self.mean.shape:
             raise ValueError("variance grid shape does not match mean")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.variance))):
+            raise ValueError("non-finite forecast mean or variance")
         if np.any(self.variance < 0):
             raise ValueError("negative forecast variance")
 

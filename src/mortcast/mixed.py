@@ -3,9 +3,9 @@
 The observation vector Y (stacked age-major) follows N(T beta, V) with
 V = Z1 K1 Z1' + Z2 K2 Z2' + Z3 K3 Z3' + sigma2 I. Hyperparameters are
 estimated by maximizing the marginal log-likelihood; the random-effect
-vectors are then recovered as conditional means given Y (BLUPs), and
-forecasts extend the cohort effect through its covariance with the
-training cohorts.
+vectors are then recovered as conditional means given Y (BLUPs), and each
+cell's forecast is the predictive distribution of y there given Y, with
+beta estimated by GLS (universal kriging).
 
 The likelihood works in the column space of Z = [Z1 Z2 Z3] (q << N columns):
 an evaluation factors one k x k matrix, k < q, and never forms the N x N V.
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import cohort_cols
+from .data import cohort_cols, cohort_labels
 from .design import (
     DesignSet,
     KernelParams,
@@ -31,6 +31,7 @@ from .design import (
     build_design,
     build_forecast_covariances,
     cholesky_with_jitter,
+    se_kernel,
 )
 from .errors import FactorizationError
 from .forecasts import Forecast
@@ -45,7 +46,7 @@ MAX_ITER = 500
 
 @dataclass(frozen=True)
 class FixedEffects:
-    """Estimated fixed intercept/slope with a 2x2 covariance."""
+    """Estimated fixed intercept/slope and its GLS covariance (T' V^-1 T)^-1."""
 
     beta: np.ndarray
     cov_beta: np.ndarray
@@ -55,9 +56,8 @@ class FixedEffects:
 class RandomEffects:
     """Conditional means and covariances of the three random-effect vectors.
 
-    ``gamma1``/``gamma2`` live on the age axis, ``gamma3`` on the cohort
-    axis of the design it was computed against (training, or extended when
-    produced by :func:`forecast`).
+    ``gamma1``/``gamma2`` live on the age axis, ``gamma3`` on the training
+    cohort axis, or the extended one from :func:`extended_random_effects`.
     """
 
     gamma1: np.ndarray
@@ -82,7 +82,6 @@ class MixedFit:
     n_iter: int
     sigma2_boundary: bool
     y: np.ndarray
-    beta_cov_policy: str
 
 
 def stack_grid(grid: np.ndarray) -> np.ndarray:
@@ -423,7 +422,6 @@ def fit(
     seed: int = 0,
     tol: float = 1e-8,
     free: np.ndarray | None = None,
-    beta_cov: str = "scaled",
 ) -> MixedFit:
     """Maximize the marginal log-likelihood and recover all effect estimates.
 
@@ -436,9 +434,6 @@ def fit(
     seed : seeds the deterministic perturbations of runs beyond the third
     free : optional boolean mask over [h1, l1, h2, l2, c, s, sigma2]
         restricting which log parameters the optimizer moves
-    beta_cov : {"scaled", "gls"}
-        "scaled" (the default) reports Var(beta) = sigma2 * (T' V^-1 T)^-1;
-        "gls" drops the extra sigma2 factor, the textbook GLS covariance.
 
     Raises
     ------
@@ -447,8 +442,6 @@ def fit(
     """
     if design.horizon != 0:
         raise ValueError("fit expects a training design (horizon 0)")
-    if beta_cov not in ("scaled", "gls"):
-        raise ValueError(f"beta_cov must be 'scaled' or 'gls', got {beta_cov!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     y = _as_stacked(y, design)
@@ -476,7 +469,7 @@ def fit(
 
     state, trace, converged, iters = best
     params = state.params
-    _, fixed, random = _posterior(state, beta_cov)
+    fixed, random = _posterior(state)
     boundary = params.sigma2 < 1e-10 * (1.0 + float(np.var(y)))
     return MixedFit(
         params=params,
@@ -489,13 +482,13 @@ def fit(
         n_iter=iters,
         sigma2_boundary=bool(boundary),
         y=y,
-        beta_cov_policy=beta_cov,
     )
 
 
-def _posterior(ev: _Evaluation, beta_cov_policy, horizon: int = 0):
-    """The design extended ``horizon`` years, the fixed-effects estimate and
-    the conditional (BLUP) distributions of the random effects on it.
+def _posterior(ev: _Evaluation, horizon: int = 0):
+    """The fixed-effects estimate and the conditional (BLUP) distributions of
+    the random effects, the cohort effect on the axis extended ``horizon``
+    years.
 
     Effect k has mean K* Z_k'a and covariance K** - K* Z_k'V^-1Z_k K*'
     (GPML eqs. 2.25-2.26), K* its covariance with the training effect: K for
@@ -506,17 +499,16 @@ def _posterior(ev: _Evaluation, beta_cov_policy, horizon: int = 0):
     dh = build_design(d.ages, d.train_years, horizon) if horizon else d
     K1, K2, _ = ev.kernels
     cross = ((K1, K1), (K2, K2), build_forecast_covariances(ev.params, dh))
-    Ginv = np.linalg.inv(ev.G)
-    cov_beta = ev.params.sigma2 * Ginv if beta_cov_policy == "scaled" else Ginv
     moments = []
     for (W, b), (Ks, Kss) in zip(ev.blocks(ev.beta), cross):
         moments += [Ks @ b, Kss - Ks @ W @ Ks.T]
-    return dh, FixedEffects(beta=ev.beta, cov_beta=cov_beta), RandomEffects(*moments)
+    fixed = FixedEffects(beta=ev.beta, cov_beta=np.linalg.inv(ev.G))
+    return fixed, RandomEffects(*moments)
 
 
-def _evaluated_posterior(y, design, params, policy, horizon=0):
+def _evaluated_posterior(y, design, params, horizon=0):
     """:func:`_posterior` of the model evaluated at ``params`` on (y, design)."""
-    return _posterior(_Evaluation(_Projection(y, design), params), policy, horizon)
+    return _posterior(_Evaluation(_Projection(y, design), params), horizon)
 
 
 def blup(y, fit: MixedFit) -> RandomEffects:
@@ -524,53 +516,65 @@ def blup(y, fit: MixedFit) -> RandomEffects:
 
     Recomputed from the fitted hyperparameters; equals ``fit.random``.
     """
-    return _evaluated_posterior(y, fit.design, fit.params, fit.beta_cov_policy)[2]
+    return _evaluated_posterior(y, fit.design, fit.params)[1]
 
 
-def _moments(d: DesignSet, fixed: FixedEffects, re: RandomEffects, sigma2):
-    """Mean and per-cell variance grids (years x ages) over the design's
-    cells, the four component variances plus the noise variance; a cell
-    reads its age's entries and its cohort's (:func:`cohort_cols`) entry."""
-    n, m = d.n_train + d.horizon, d.n_ages
-    tau = (d.years - d.t_bar)[:, None]
-    coh = cohort_cols(d.ages, d.years, d.cohort_index)
-    T_var = np.einsum("ij,jk,ik->i", d.T, fixed.cov_beta, d.T)
-    parts = (
-        (unstack_vector(d.T @ fixed.beta, n, m), unstack_vector(T_var, n, m)),
-        (re.gamma1, np.diag(re.cov1)),
-        (tau * re.gamma2, tau * np.diag(re.cov2) * tau),
-        (re.gamma3[coh], np.diag(re.cov3)[coh]),
-    )
-    return sum(g for g, _ in parts), sum(np.maximum(v, 0.0) for _, v in parts) + sigma2
+def _kriging(fit: MixedFit, years: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive mean and variance grids (years x ages) of y at the cells of
+    ``years`` given the training y, beta estimated by GLS: universal kriging
+    (GPML eq. 2.42).
+
+    A cell at age a, tau = t - t_bar and cohort column j has covariance Z g
+    with the training y, g = [K1[:, a]; tau K2[:, a]; K3*[j]] and K3* the
+    covariance of the cells' cohorts with the training ones. With X, e, wT
+    and G from one :class:`_Evaluation`, its mean is t'beta + g'X'e and its
+    variance k_cc - |X g|^2 + r'G^-1 r + sigma2, r = t - wT' X g.
+    """
+    d, p = fit.design, fit.params
+    ev = _Evaluation(_Projection(fit.y, d), p)
+    K1, K2, _ = ev.kernels
+    cohorts = cohort_labels(d.ages, years)
+    K3s = se_kernel(cohorts, d.cohort_index, p.c, p.s)
+    # one entry (column) per cell, cells in (year, age) order
+    age = np.tile(np.arange(d.n_ages), years.size)
+    tau = np.repeat(years - d.t_bar, d.n_ages)
+    coh = cohort_cols(d.ages, years, cohorts).ravel()
+    t = np.vstack([np.ones(tau.size), tau])
+    X1, X2, X3 = (ev.X[:, c] for c in ev.cols)
+    # g'X'e through the effects' conditional means K* X_k'e
+    e = ev.e(ev.beta)
+    g1, g2, g3 = K1 @ (X1.T @ e), K2 @ (X2.T @ e), K3s @ (X3.T @ e)
+    mean = ev.beta @ t + g1[age] + tau * g2[age] + g3[coh]
+    Xg = (X1 @ K1)[:, age] + tau * (X2 @ K2)[:, age] + (X3 @ K3s.T)[:, coh]
+    r = t - ev.wT.T @ Xg
+    # k_cc from the kernels' diagonals; the latent part is >= 0 up to rounding
+    k_cc = p.h1**2 + tau**2 * p.h2**2 + p.c**2
+    latent = k_cc - np.sum(Xg**2, axis=0) + np.sum(r * np.linalg.solve(ev.G, r), axis=0)
+    var = np.maximum(latent, 0.0) + p.sigma2
+    return mean.reshape(years.size, -1), var.reshape(years.size, -1)
 
 
 def fitted_surface(fit: MixedFit) -> tuple[np.ndarray, np.ndarray]:
-    """In-sample mean and per-cell variance grids (years x ages)."""
-    return _moments(fit.design, fit.fixed, fit.random, fit.params.sigma2)
+    """In-sample predictive mean and variance grids (years x ages)."""
+    return _kriging(fit, fit.design.train_years)
 
 
 def forecast(fit: MixedFit, horizon: int, alpha: float = 0.05) -> Forecast:
-    """Extend the fit h years ahead with per-cell prediction variances.
-
-    The moments are those of the posterior at horizon h
-    (:func:`extended_random_effects`); the reported per-cell variance sums
-    the four component variances plus the noise variance.
+    """Extend the fit h years ahead: each cell's predictive mean and variance
+    given the training y at the fitted hyperparameters (:func:`_kriging`).
     """
     if horizon < 1:
         raise ValueError("forecast horizon must be >= 1")
-    dh, fixed, re = _evaluated_posterior(
-        fit.y, fit.design, fit.params, fit.beta_cov_policy, horizon)
-    mean, var = _moments(dh, fixed, re, fit.params.sigma2)
-    n = dh.n_train
-    return Forecast(ages=dh.ages, years=dh.years[n:], mean=mean[n:], variance=var[n:])
+    years = fit.design.train_years[-1] + np.arange(1, horizon + 1)
+    mean, var = _kriging(fit, years)
+    return Forecast(ages=fit.design.ages, years=years, mean=mean, variance=var)
 
 
 def extended_random_effects(fit: MixedFit, horizon: int) -> RandomEffects:
     """Random effects with the cohort vector extended ``horizon`` years ahead
     through its cross-covariance with the training cohorts (the age effects
     carry over unchanged); horizon 0 gives :func:`blup` on ``fit.y``."""
-    return _evaluated_posterior(
-        fit.y, fit.design, fit.params, fit.beta_cov_policy, horizon)[2]
+    return _evaluated_posterior(fit.y, fit.design, fit.params, horizon)[1]
 
 
 def _sample_psd(K, rng):

@@ -115,6 +115,34 @@ def joint_conditioning(y, beta, params, design, horizon=0):
     }
 
 
+def universal_kriging(y, params, design, horizon):
+    """Predictive mean and variance of y at every cell of the design extended
+    ``horizon`` years, given the training y, with beta estimated by GLS
+    (Rasmussen & Williams, GPML eq. 2.42).
+
+    Everything comes from the dense joint covariance C of all cells' latent
+    values, Z1 K1 Z1' + Z2 K2 Z2' + Z3 K3 Z3' on the extended design, and
+    explicit inverses: with V = C[train, train] + sigma2 I, a cell c has
+    mean t_c'beta + C[train, c]' V^-1 (y - T beta) and variance
+    C[c, c] - C[train, c]' V^-1 C[train, c] + r' (T' V^-1 T)^-1 r + sigma2,
+    r = t_c - T' V^-1 C[train, c]. Returns stacked (age-major) vectors.
+    """
+    dh = build_design(design.ages, design.train_years, horizon)
+    K1, K2, K3 = build_covariances(params, dh)
+    C = dh.Z1 @ K1 @ dh.Z1.T + dh.Z2 @ K2 @ dh.Z2.T + dh.Z3 @ K3 @ dh.Z3.T
+    # rows are stacked age-major: each age's block starts with the training years
+    train = np.tile(np.arange(design.n_train + horizon) < design.n_train, design.n_ages)
+    y, T, Kx = np.asarray(y, float), dh.T[train], C[train]
+    Vinv = np.linalg.inv(C[np.ix_(train, train)] + params.sigma2 * np.eye(T.shape[0]))
+    VKx = Vinv @ Kx
+    cov_beta = np.linalg.inv(T.T @ Vinv @ T)
+    beta = cov_beta @ T.T @ Vinv @ y
+    mean = dh.T @ beta + VKx.T @ (y - T @ beta)
+    r = dh.T.T - T.T @ VKx
+    var = np.diag(C) - np.sum(Kx * VKx, axis=0) + np.sum(r * (cov_beta @ r), axis=0)
+    return mean, var + params.sigma2
+
+
 def random_params(rng, scale=1.0):
     """Moderate random positive hyperparameters for small instances."""
     from mortcast.design import KernelParams

@@ -363,6 +363,17 @@ class TestRunConfig:
         with pytest.raises(Exception):
             RunConfig.from_json('{"command": "fit", "bogus": 1}')
 
+    def test_var_beta_is_gone(self, data_csv, tmp_path, capsys):
+        args = ("--input", data_csv, "--ages", "60:63", "--years", "1990:2005")
+        assert run_cli("fit", *args, "--var-beta", "gls", "--out", tmp_path) == EXIT_ERROR
+        # a saved config that still carries the field is an unknown field
+        cfg = json.loads(RunConfig(command="fit").to_json())
+        path = tmp_path / "run_config.json"
+        path.write_text(json.dumps({**cfg, "var_beta": "scaled"}))
+        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert "var_beta" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_bad_thread_env_exits_one_naming_it(self, data_csv, tmp_path,
                                                 monkeypatch, capsys):
         monkeypatch.setenv("MORTCAST_THREADS", "abc")
@@ -394,6 +405,19 @@ class TestArtifacts:
         fc1 = forecast(loaded, 4)
         np.testing.assert_allclose(fc1.mean, fc0.mean, atol=1e-12)
         np.testing.assert_allclose(fc1.variance, fc0.variance, atol=1e-12)
+
+    def test_fit_json_with_a_beta_cov_policy_loads_and_forecasts(self, rng, tmp_path):
+        # artifacts written while fit took a beta_cov policy carry its name
+        surface = make_surface((60, 63), (1995, 2010), rng)
+        f = fit(surface.y, build_design(surface.ages, surface.years), restarts=1)
+        path = tmp_path / "fit.json"
+        artifacts.save_fit(f, path)
+        doc = json.loads(path.read_text())
+        assert "beta_cov_policy" not in doc
+        path.write_text(json.dumps({**doc, "beta_cov_policy": "scaled"}))
+        fc0, fc1 = forecast(f, 4), forecast(artifacts.load_fit(path), 4)
+        np.testing.assert_array_equal(fc1.mean, fc0.mean)
+        np.testing.assert_array_equal(fc1.variance, fc0.variance)
 
     def test_rejects_unknown_model_tag(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import dense_gls, dense_loglik, joint_conditioning
+from oracles import dense_gls, dense_loglik, joint_conditioning, universal_kriging
 
 import mortcast.design as design_mod
 from mortcast.artifacts import load_fit, save_fit
@@ -74,18 +74,13 @@ def dense_gradient(y, beta, params, design):
 
 
 def dense_forecast(y, beta, params, design, horizon):
-    """Forecast mean and per-cell variance (scaled beta covariance) by joint
-    conditioning on the extended design."""
+    """Forecast mean by joint conditioning on the extended design, and the
+    per-cell predictive variance by dense universal kriging."""
     oracle = joint_conditioning(y, beta, params, design, horizon=horizon)
     dh = build_design(design.ages, design.train_years, horizon)
-    Vinv = np.linalg.inv(assemble_V(params, design))
-    cov_beta = params.sigma2 * np.linalg.inv(design.T.T @ Vinv @ design.T)
-    parts = ((dh.T, beta, cov_beta), (dh.Z1, oracle["gamma1"], oracle["cov1"]),
-             (dh.Z2, oracle["gamma2"], oracle["cov2"]),
-             (dh.Z3, oracle["gamma3"], oracle["cov3"]))
-    mean = sum(Z @ g for Z, g, _ in parts)
-    var = sum(np.maximum(np.diag(Z @ C @ Z.T), 0.0) for Z, _, C in parts)
-    return mean, var + params.sigma2, oracle
+    mean = (dh.T @ beta + dh.Z1 @ oracle["gamma1"] + dh.Z2 @ oracle["gamma2"]
+            + dh.Z3 @ oracle["gamma3"])
+    return mean, universal_kriging(y, params, design, horizon)[1], oracle
 
 
 def _close(actual, expected, rtol, name):

@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from mortcast.design import KernelParams, build_design
-from mortcast.forecasts import normal_quantile
+from mortcast.forecasts import Forecast, normal_quantile
 from mortcast.mixed import (
     blup,
     default_init,
@@ -34,9 +34,9 @@ from mortcast.mixed import (
 PIN_ALL = np.zeros(7, dtype=bool)  # freeze every hyperparameter in fit()
 
 
-def pinned_fit(y, design, params, beta_cov="scaled"):
+def pinned_fit(y, design, params):
     """Fit object with hyperparameters fixed at ``params`` (no optimization)."""
-    return fit(y, design, init=params, restarts=1, free=PIN_ALL, beta_cov=beta_cov)
+    return fit(y, design, init=params, restarts=1, free=PIN_ALL)
 
 
 class TestLogLikelihood:
@@ -167,7 +167,7 @@ class TestFit:
                             sigma2=0.02)
         beta = np.array([-3.0, -0.035])
         y = simulate(d, true, beta, rng)
-        f = fit(y, d, restarts=1, beta_cov="gls")
+        f = fit(y, d, restarts=1)
         sd = np.sqrt(np.diag(f.fixed.cov_beta))
         assert np.all(np.abs(f.fixed.beta - beta) <= 4.0 * sd)
 
@@ -299,6 +299,36 @@ class TestForecast:
         for alpha in np.linspace(1e-6, 1.0 - 1e-6, 2001):
             assert normal_quantile(alpha) == scipy.stats.norm.ppf(1.0 - alpha / 2.0)
 
+    def test_intervals_are_calibrated(self):
+        # at the generating hyperparameters the predictive distribution is
+        # exact up to the GLS estimate of beta, whose variance it includes
+        H, R = 5, 100
+        ages, years = np.arange(60, 68), np.arange(1990, 2010)
+        d, dh = build_design(ages, years), build_design(ages, years, horizon=H)
+        true = KernelParams(h1=0.5, l1=20.0, h2=0.05, l2=20.0, c=0.3, s=40.0,
+                            sigma2=0.02)
+        rng = np.random.default_rng(20261018)
+        z = []
+        for _ in range(R):
+            y = unstack_vector(simulate(dh, true, [-3.0, -0.035], rng),
+                               years.size + H, ages.size)
+            fc = forecast(pinned_fit(y[: years.size], d, true), H)
+            z.append((y[years.size :] - fc.mean) / np.sqrt(fc.variance))
+        z = np.asarray(z)
+        coverage = float(np.mean(np.abs(z) <= normal_quantile(0.05)))
+        rms_z = float(np.sqrt(np.mean(z**2)))
+        assert 0.92 <= coverage <= 0.98 and 0.9 <= rms_z <= 1.1, (coverage, rms_z)
+
+    def test_rejects_non_finite_grids(self):
+        grid = np.ones((2, 3))
+        for bad in ("mean", "variance"):
+            for value in (np.nan, np.inf):
+                grids = {"mean": grid.copy(), "variance": grid.copy()}
+                grids[bad][1, 2] = value
+                with pytest.raises(ValueError, match="non-finite"):
+                    Forecast(ages=np.arange(60, 63), years=np.arange(2000, 2002),
+                             **grids)
+
     def test_variance_floor_is_noise(self, rng):
         d = build_design([60, 61, 62], range(2000, 2010))
         p = random_params(rng)
@@ -333,16 +363,6 @@ class TestProperties:
         y = simulate(d, random_params(rng), [-3.0, -0.02], rng)
         p0 = default_init(y, d)
         assert np.all(p0.as_array() > 0)
-
-    def test_beta_cov_policies_differ_by_sigma2(self, rng):
-        d = build_design([60, 61, 62], range(2000, 2010))
-        p = random_params(rng)
-        y = rng.normal(size=30)
-        f_scaled = pinned_fit(y, d, p, beta_cov="scaled")
-        f_gls = pinned_fit(y, d, p, beta_cov="gls")
-        np.testing.assert_allclose(
-            f_scaled.fixed.cov_beta, p.sigma2 * f_gls.fixed.cov_beta, rtol=1e-12
-        )
 
 
 class TestOneFactorization:
