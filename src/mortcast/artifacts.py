@@ -1,10 +1,11 @@
 """JSON fit artifacts: enough state to reproduce forecasts without refitting.
 
 A mixed-model artifact stores the fitted hyperparameters plus the exact
-training window and observations; the solver state needed for forecasting
-is recomputed deterministically on load (no optimizer runs). A CBD
-artifact stores the parameter curves directly. Floats serialize with
-round-trip precision.
+training window and observations. Loading evaluates the model at those
+hyperparameters once (one projection and one factorization, no optimizer
+run), and the loaded fit derives its effects and forecasts from that
+evaluation, as the fit did. A CBD artifact stores the parameter curves
+directly. Floats serialize with round-trip precision.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .cbd import CbdFit
 from .data import cohort_labels
 from .design import KernelParams, build_design
-from .mixed import MixedFit, _evaluated_posterior, stack_grid, unstack_vector
+from .mixed import MixedFit, _evaluate, stack_grid, unstack_vector
 
 SCHEMA_VERSION = 1
 
@@ -73,21 +74,13 @@ def _cbd_to_dict(fit: CbdFit) -> dict:
 
 
 def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
-    design = build_design(ages, years)
-    params = KernelParams(**doc["params"])
     y = stack_grid(np.asarray(doc["y"], dtype=float))
-    fixed, random = _evaluated_posterior(y, design, params)
     return MixedFit(
-        params=params,
-        fixed=fixed,
-        random=random,
-        loglik=float(doc["loglik"]),
+        evaluation=_evaluate(y, build_design(ages, years), KernelParams(**doc["params"])),
         loglik_trace=np.asarray(doc["loglik_trace"], dtype=float),
-        design=design,
         converged=bool(doc["converged"]),
         n_iter=int(doc["n_iter"]),
         sigma2_boundary=bool(doc["sigma2_boundary"]),
-        y=y,
     )
 
 

@@ -367,7 +367,8 @@ def forecast_cbd(
     mapped through [1, x - x_bar]. Cohorts beyond the last fitted one take
     the univariate recursion from the last fitted cohort value, stepping
     over the sparse excluded labels, and contribute (extrapolated steps) *
-    var_dgamma to the cell variance.
+    var_dgamma to the cell variance. ``alpha`` is unread; a band's level is
+    chosen by ``Forecast.interval``.
     """
     if horizon < 1:
         raise ValueError("forecast horizon must be >= 1")

@@ -1,9 +1,9 @@
 """Command-line entry point: fit, forecast and backtest as reproducible runs.
 
 Every command writes ``run_config.json`` next to its outputs; ``--config
-run_config.json`` reproduces them byte for byte on the same BLAS and thread
-count. Machine-readable files carry round-trip float precision; the stdout
-summary rounds to 4 decimals. Exit codes: 0 success, 1 usage or data
+run_config.json`` alone reproduces them byte for byte on the same BLAS and
+thread count. Machine-readable files carry round-trip float precision; the
+stdout summary rounds to 4 decimals. Exit codes: 0 success, 1 usage or data
 error, 2 numerical non-convergence (artifacts are still written).
 """
 
@@ -45,7 +45,7 @@ from .data import (
     split_train_test,
     window_counts,
 )
-from .design import assemble_V, build_covariances, build_design
+from .design import assemble_V, build_design
 from .mixed import MixedFit
 
 EXIT_OK = 0
@@ -183,8 +183,15 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace, argv: list[str]) -> RunConfig:
     if getattr(args, "config", None):
+        # every option is a long flag, so the "--" tokens are the flags given
+        # (the prefix test passes argparse's abbreviations of --config)
+        others = [f for f in (a.split("=")[0] for a in argv if a.startswith("--"))
+                  if not "--config".startswith(f)]
+        if others:
+            raise UsageError("--config takes no other flag; also given: "
+                             + " ".join(others))
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
@@ -244,7 +251,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         if fit.sigma2_boundary:
             summary.append("warning: sigma2 at its lower boundary")
         if cfg.dump_matrices:
-            K1, K2, K3 = build_covariances(fit.params, design)
+            K1, K2, K3 = fit.evaluation.kernels
             for name, mat in [
                 ("T", design.T), ("Z1", design.Z1), ("Z2", design.Z2),
                 ("Z3", design.Z3), ("K1", K1), ("K2", K2), ("K3", K3),
@@ -306,10 +313,10 @@ def cmd_forecast(cfg: RunConfig) -> int:
             f"artifact model tag {tag!r} does not match --model {cfg.model!r}"
         )
     if isinstance(fit, MixedFit):
-        fc = mixed_mod.forecast(fit, cfg.horizon, cfg.alpha)
+        fc = mixed_mod.forecast(fit, cfg.horizon)
     else:
         drift = cbd_mod.estimate_rw(fit, divisor=cfg.rw_divisor)
-        fc = cbd_mod.forecast_cbd(fit, drift, cfg.horizon, cfg.alpha)
+        fc = cbd_mod.forecast_cbd(fit, drift, cfg.horizon)
 
     rows = _forecast_rows(fc, cfg.alpha)
     level = f"{100 * (1 - cfg.alpha):g}"  # the band's exact coverage, in percent
@@ -355,6 +362,7 @@ def cmd_backtest(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -362,7 +370,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         thread_cap()  # a bad MORTCAST_THREADS fails every command, not just backtest
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(args, argv)
         if cfg.command == "fit":
             return cmd_fit(cfg)
         if cfg.command == "forecast":

@@ -70,18 +70,27 @@ class RandomEffects:
 
 @dataclass(frozen=True)
 class MixedFit:
-    """Result of a marginal-likelihood fit on a training design."""
+    """A marginal-likelihood fit: the model evaluated at the fitted
+    hyperparameters and the optimizer's record. ``params``, ``design`` and
+    ``y`` are the evaluation's, ``loglik`` is the trace's last value, and
+    ``fixed`` and ``random`` are its posterior, computed on first read."""
 
-    params: KernelParams
-    fixed: FixedEffects
-    random: RandomEffects
-    loglik: float
+    evaluation: _Evaluation
     loglik_trace: np.ndarray
-    design: DesignSet
     converged: bool
     n_iter: int
     sigma2_boundary: bool
-    y: np.ndarray
+
+    params = property(lambda self: self.evaluation.params)
+    design = property(lambda self: self.evaluation.proj.design)
+    y = property(lambda self: self.evaluation.proj.y)
+    loglik = property(lambda self: float(self.loglik_trace[-1]))
+    fixed = property(lambda self: self._effects[0])
+    random = property(lambda self: self._effects[1])
+
+    @cached_property
+    def _effects(self) -> tuple[FixedEffects, RandomEffects]:
+        return _posterior(self.evaluation)
 
 
 def stack_grid(grid: np.ndarray) -> np.ndarray:
@@ -232,15 +241,20 @@ class _Evaluation:
         return g
 
 
+def _evaluate(y, design: DesignSet, params: KernelParams) -> _Evaluation:
+    """The model at ``params`` on (y, design): one projection, one factorization."""
+    return _Evaluation(_Projection(y, design), params)
+
+
 def log_likelihood(y, beta, params: KernelParams, design: DesignSet) -> float:
     """Gaussian log-density of Y under N(T beta, V(params)), from one
     :class:`_Evaluation`: a k x k factorization (k < q); V is never formed."""
-    return _Evaluation(_Projection(y, design), params).loglik(np.asarray(beta, float))
+    return _evaluate(y, design, params).loglik(np.asarray(beta, float))
 
 
 def gls_beta(y, params: KernelParams, design: DesignSet) -> np.ndarray:
     """Closed-form maximizer beta = (T' V^-1 T)^-1 T' V^-1 Y."""
-    return _Evaluation(_Projection(y, design), params).beta
+    return _evaluate(y, design, params).beta
 
 
 def grad_loglik(y, beta, params: KernelParams, design: DesignSet) -> np.ndarray:
@@ -251,7 +265,7 @@ def grad_loglik(y, beta, params: KernelParams, design: DesignSet) -> np.ndarray:
     -1/2 tr(V^-1 dV) + 1/2 r' V^-1 dV V^-1 r with r = Y - T beta, and
     dV/dsigma2 = I.
     """
-    return _Evaluation(_Projection(y, design), params).gradient(np.asarray(beta, float))
+    return _evaluate(y, design, params).gradient(np.asarray(beta, float))
 
 
 class _ProfileObjective:
@@ -261,7 +275,7 @@ class _ProfileObjective:
     optimized; the rest stay at their initial values. The projection onto
     range(Z) is formed once for the whole fit; each evaluation is one
     :class:`_Evaluation`, which serves the likelihood, the gradient and,
-    for the winning one, the posterior.
+    for the winning one, every estimate of the :class:`MixedFit`.
     """
 
     def __init__(self, y, design, free):
@@ -451,6 +465,7 @@ def fit(
         raise ValueError("free mask must have 7 entries")
 
     objective = _ProfileObjective(y, design, free)
+    sigma2_floor = 1e-10 * (1.0 + float(np.var(y)))
     best = None
     failures = []
     for run in range(restarts):
@@ -460,29 +475,14 @@ def fit(
         except (FactorizationError, ValueError) as exc:
             failures.append(f"run {run}: {exc}")
             continue
-        if best is None or state.ll > best[0].ll:
-            best = (state, trace, converged, iters)
+        if best is None or state.ll > best.evaluation.ll:
+            best = MixedFit(state, trace, converged, iters,
+                            sigma2_boundary=bool(state.params.sigma2 < sigma2_floor))
     if best is None:
         raise FactorizationError(
             "all restarts failed: " + "; ".join(failures)
         )
-
-    state, trace, converged, iters = best
-    params = state.params
-    fixed, random = _posterior(state)
-    boundary = params.sigma2 < 1e-10 * (1.0 + float(np.var(y)))
-    return MixedFit(
-        params=params,
-        fixed=fixed,
-        random=random,
-        loglik=float(state.ll),
-        loglik_trace=trace,
-        design=design,
-        converged=converged,
-        n_iter=iters,
-        sigma2_boundary=bool(boundary),
-        y=y,
-    )
+    return best
 
 
 def _posterior(ev: _Evaluation, horizon: int = 0):
@@ -506,17 +506,12 @@ def _posterior(ev: _Evaluation, horizon: int = 0):
     return fixed, RandomEffects(*moments)
 
 
-def _evaluated_posterior(y, design, params, horizon=0):
-    """:func:`_posterior` of the model evaluated at ``params`` on (y, design)."""
-    return _posterior(_Evaluation(_Projection(y, design), params), horizon)
-
-
 def blup(y, fit: MixedFit) -> RandomEffects:
     """Conditional means and covariances of the random effects given Y.
 
     Recomputed from the fitted hyperparameters; equals ``fit.random``.
     """
-    return _evaluated_posterior(y, fit.design, fit.params)[1]
+    return _posterior(_evaluate(y, fit.design, fit.params))[1]
 
 
 def _kriging(fit: MixedFit, years: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -530,8 +525,8 @@ def _kriging(fit: MixedFit, years: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and G from one :class:`_Evaluation`, its mean is t'beta + g'X'e and its
     variance k_cc - |X g|^2 + r'G^-1 r + sigma2, r = t - wT' X g.
     """
+    ev = fit.evaluation
     d, p = fit.design, fit.params
-    ev = _Evaluation(_Projection(fit.y, d), p)
     K1, K2, _ = ev.kernels
     cohorts = cohort_labels(d.ages, years)
     K3s = se_kernel(cohorts, d.cohort_index, p.c, p.s)
@@ -562,6 +557,7 @@ def fitted_surface(fit: MixedFit) -> tuple[np.ndarray, np.ndarray]:
 def forecast(fit: MixedFit, horizon: int, alpha: float = 0.05) -> Forecast:
     """Extend the fit h years ahead: each cell's predictive mean and variance
     given the training y at the fitted hyperparameters (:func:`_kriging`).
+    ``alpha`` is unread; a band's level is chosen by ``Forecast.interval``.
     """
     if horizon < 1:
         raise ValueError("forecast horizon must be >= 1")
@@ -574,7 +570,7 @@ def extended_random_effects(fit: MixedFit, horizon: int) -> RandomEffects:
     """Random effects with the cohort vector extended ``horizon`` years ahead
     through its cross-covariance with the training cohorts (the age effects
     carry over unchanged); horizon 0 gives :func:`blup` on ``fit.y``."""
-    return _evaluated_posterior(fit.y, fit.design, fit.params, horizon)[1]
+    return _posterior(fit.evaluation, horizon)[1]
 
 
 def _sample_psd(K, rng):

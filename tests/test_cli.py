@@ -374,6 +374,23 @@ class TestRunConfig:
         assert "var_beta" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    def test_config_takes_no_other_flag(self, fit_dir, tmp_path, capsys):
+        first = tmp_path / "a"
+        args = ("--fit", fit_dir / "fit.json", "--horizon", "2", "--out", first)
+        assert run_cli("forecast", *args) == EXIT_OK
+        saved = (first / "forecast.csv").read_bytes()
+        (first / "forecast.csv").unlink()
+        config = first / "run_config.json"
+        code = run_cli("forecast", "--config", config, "--out", tmp_path / "b",
+                       "--horizon", "5")
+        assert code == EXIT_ERROR
+        assert "also given: --out --horizon" in capsys.readouterr().err
+        assert not (first / "forecast.csv").exists()
+        assert not (tmp_path / "b").exists()
+        # alone, in either spelling, it reruns the saved run
+        assert run_cli("forecast", f"--config={config}") == EXIT_OK
+        assert (first / "forecast.csv").read_bytes() == saved
+
     def test_bad_thread_env_exits_one_naming_it(self, data_csv, tmp_path,
                                                 monkeypatch, capsys):
         monkeypatch.setenv("MORTCAST_THREADS", "abc")

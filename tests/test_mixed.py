@@ -370,24 +370,26 @@ class TestOneFactorization:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Cholesky calls made through the mixed namespace, and the
-        optimizer's objective evaluations."""
+        """Cholesky calls made through the mixed namespace, projections of
+        Z, posteriors and the optimizer's objective evaluations."""
         import mortcast.mixed as mixed_mod
 
-        counts = {"chol": 0, "objective": 0}
-        real_chol = mixed_mod.cholesky_with_jitter
-        real_evaluate = mixed_mod._ProfileObjective.evaluate
+        counts = {"chol": 0, "proj": 0, "posterior": 0, "objective": 0}
 
-        def counting_chol(V):
-            counts["chol"] += 1
-            return real_chol(V)
+        def counting(key, real):
+            def wrapper(*args):
+                counts[key] += 1
+                return real(*args)
+            return wrapper
 
-        def counting_evaluate(self, u):
-            counts["objective"] += 1
-            return real_evaluate(self, u)
-
-        monkeypatch.setattr(mixed_mod, "cholesky_with_jitter", counting_chol)
-        monkeypatch.setattr(mixed_mod._ProfileObjective, "evaluate", counting_evaluate)
+        monkeypatch.setattr(mixed_mod, "cholesky_with_jitter",
+                            counting("chol", mixed_mod.cholesky_with_jitter))
+        monkeypatch.setattr(mixed_mod, "_posterior",
+                            counting("posterior", mixed_mod._posterior))
+        monkeypatch.setattr(mixed_mod._Projection, "__init__",
+                            counting("proj", mixed_mod._Projection.__init__))
+        monkeypatch.setattr(mixed_mod._ProfileObjective, "evaluate",
+                            counting("objective", mixed_mod._ProfileObjective.evaluate))
         return counts
 
     @staticmethod
@@ -403,19 +405,38 @@ class TestOneFactorization:
         # the posterior reads the winning evaluation: no factorization of its own
         assert counts["chol"] == counts["objective"]
 
-    def test_forecast_blup_and_load_factor_once(self, rng, tmp_path, request):
+    def test_estimates_read_the_fit_and_load_evaluates_once(self, rng, tmp_path, counts):
         from mortcast.artifacts import load_fit, save_fit
+
+        def work():
+            return counts["chol"], counts["proj"]
 
         y, d = self.data(rng)
         f = fit(y, d, restarts=1)
-        counts = request.getfixturevalue("counts")
+        assert counts["proj"] == 1
+        chol, proj = work()
         forecast(f, 3)
-        assert counts["chol"] == 1
-        blup(y, f)
-        assert counts["chol"] == 2
+        fitted_surface(f)
+        extended_random_effects(f, 3)
+        assert work() == (chol, proj)
+        blup(y, f)  # takes its own y: one evaluation
+        assert work() == (chol + 1, proj + 1)
         save_fit(f, tmp_path / "fit.json")
-        load_fit(tmp_path / "fit.json")
-        assert counts["chol"] == 3
+        posteriors = counts["posterior"]
+        loaded = load_fit(tmp_path / "fit.json")
+        assert work() == (chol + 2, proj + 2)
+        assert counts["posterior"] == posteriors  # none until something reads it
+        forecast(loaded, 3)
+        assert work() == (chol + 2, proj + 2)
+
+    def test_reloaded_fit_forecasts_bit_for_bit(self, rng, tmp_path):
+        from mortcast.artifacts import load_fit, save_fit
+
+        f = fit(*self.data(rng), restarts=1)
+        save_fit(f, tmp_path / "fit.json")
+        fc0, fc1 = forecast(f, 4), forecast(load_fit(tmp_path / "fit.json"), 4)
+        np.testing.assert_array_equal(fc1.mean, fc0.mean)
+        np.testing.assert_array_equal(fc1.variance, fc0.variance)
 
 
 class TestJitterReported:
