@@ -80,7 +80,6 @@ def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
         loglik_trace=np.asarray(doc["loglik_trace"], dtype=float),
         converged=bool(doc["converged"]),
         n_iter=int(doc["n_iter"]),
-        sigma2_boundary=bool(doc["sigma2_boundary"]),
     )
 
 

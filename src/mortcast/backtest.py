@@ -335,14 +335,12 @@ def _emit_json(report: BacktestReport) -> str:
         "ages": [int(report.ages[0]), int(report.ages[-1])],
         "years": [int(report.years[0]), int(report.years[-1])],
         "results": results,
-        "pooled": [
-            {"model": model, "horizon": h, "rmse": report.pooled[(model, h)]}
-            for model in sorted(report.plan.models)
-            for h in sorted(report.plan.horizons)
-        ],
+        # a pooled RMSE is NaN when every window failed, and JSON has no NaN
+        "pooled": [{"model": model, "horizon": h, "rmse": v if np.isfinite(v) else None}
+                   for (model, h), v in sorted(report.pooled.items())],
         "failures": report.failures,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit_markdown(report: BacktestReport) -> str:

@@ -143,7 +143,6 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--config", help="re-run from a saved run_config.json")
 
     f = sub.add_parser("fit", help="fit one model on a training window")
@@ -153,11 +152,12 @@ def _parser() -> argparse.ArgumentParser:
                    help="train only on years up to this one (the rest of "
                    "the --years window is held out)")
     f.add_argument("--restarts", type=int, default=3)
+    f.add_argument("--seed", type=int, default=0)
     f.add_argument("--exposure", type=float, default=1e5, dest="synth_exposure",
                    help="flat exposure used to synthesize counts for the "
                    "CBD fit when the input has no deaths/exposure columns")
     f.add_argument("--dump-matrices", action="store_true",
-                   help="also write the design and covariance matrices as CSV")
+                   help="also write the mixed model's design and covariances as CSV")
     add_common(f)
 
     fc = sub.add_parser("forecast", help="forecast from a saved fit artifact")
@@ -176,6 +176,7 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--horizons", type=_ints, default="5,10,15,20")
     b.add_argument("--windows", type=int, default=10)
     b.add_argument("--restarts", type=int, default=1)
+    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--rw-divisor", choices=["n", "n-1"], default="n")
     b.add_argument("--exposure", type=float, default=1e5, dest="synth_exposure")
     b.add_argument("--label", default="dataset")
@@ -227,6 +228,9 @@ def _matrix_csv(mat: np.ndarray) -> str:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
+    if cfg.dump_matrices and cfg.model != "mixed":
+        raise UsageError("--dump-matrices writes the mixed model's matrices; "
+                         f"it takes no --model {cfg.model}")
     surface, counts = _load_surface(cfg)
     if cfg.split_year is not None:
         surface, _ = split_train_test(surface, cfg.split_year)

@@ -28,8 +28,6 @@ from .design import (
     DesignSet,
     KernelParams,
     build_covariances,
-    build_design,
-    build_forecast_covariances,
     cholesky_with_jitter,
     se_kernel,
 )
@@ -72,19 +70,21 @@ class RandomEffects:
 class MixedFit:
     """A marginal-likelihood fit: the model evaluated at the fitted
     hyperparameters and the optimizer's record. ``params``, ``design`` and
-    ``y`` are the evaluation's, ``loglik`` is the trace's last value, and
+    ``y`` are the evaluation's, ``loglik`` is the trace's last value,
+    ``sigma2_boundary`` flags a noise variance below 1e-10 (1 + var y), and
     ``fixed`` and ``random`` are its posterior, computed on first read."""
 
     evaluation: _Evaluation
     loglik_trace: np.ndarray
     converged: bool
     n_iter: int
-    sigma2_boundary: bool
 
     params = property(lambda self: self.evaluation.params)
     design = property(lambda self: self.evaluation.proj.design)
     y = property(lambda self: self.evaluation.proj.y)
     loglik = property(lambda self: float(self.loglik_trace[-1]))
+    sigma2_boundary = property(
+        lambda self: self.params.sigma2 < 1e-10 * (1.0 + float(np.var(self.y))))
     fixed = property(lambda self: self._effects[0])
     random = property(lambda self: self._effects[1])
 
@@ -268,46 +268,32 @@ def grad_loglik(y, beta, params: KernelParams, design: DesignSet) -> np.ndarray:
     return _evaluate(y, design, params).gradient(np.asarray(beta, float))
 
 
-class _ProfileObjective:
-    """Profile log-likelihood (beta solved exactly) over log parameters.
+def _bfgs_ascent(proj: _Projection, u0, free, tol):
+    """Maximize the profile LL (beta solved exactly) over the log parameters
+    from u0, moving those the boolean mask ``free`` selects; returns
+    (evaluation, trace, converged, iters).
 
-    A boolean ``free`` mask selects which of the 7 log parameters are
-    optimized; the rest stay at their initial values. The projection onto
-    range(Z) is formed once for the whole fit; each evaluation is one
-    :class:`_Evaluation`, which serves the likelihood, the gradient and,
-    for the winning one, every estimate of the :class:`MixedFit`.
-    """
-
-    def __init__(self, y, design, free):
-        self.proj = _Projection(y, design)
-        self.free = free
-
-    def evaluate(self, u_full) -> _Evaluation:
-        return _Evaluation(self.proj, KernelParams.from_array(np.exp(u_full)))
-
-    def gradient(self, ev: _Evaluation):
-        """Gradient of the profile LL wrt the free log parameters.
-
-        beta is at its exact optimum, so the profile gradient equals the
-        partial gradient there (envelope argument).
-        """
-        g_u = ev.params.as_array() * ev.gradient(ev.beta)
-        return g_u[self.free]
-
-
-def _bfgs_ascent(objective, u0, free, tol):
-    """Maximize the profile LL from u0; returns (state, trace, converged, iters).
+    Each point is one :class:`_Evaluation` on ``proj``, which serves the
+    likelihood, the gradient and, for the winning one, every estimate of the
+    :class:`MixedFit`. beta is at its exact optimum, so the profile gradient
+    equals the partial gradient there (envelope argument).
 
     Accepted steps satisfy an Armijo condition on -LL, so the likelihood
     trace is nondecreasing. Trial points that fail factorization, need
     jitter (their likelihood belongs to a different V) or go non-finite are
     rejected by backtracking.
     """
+    def evaluate(u) -> _Evaluation:
+        return _Evaluation(proj, KernelParams.from_array(np.exp(u)))
+
+    def gradient(ev: _Evaluation) -> np.ndarray:
+        return (ev.params.as_array() * ev.gradient(ev.beta))[free]
+
     u = np.clip(u0, -_LOG_BOUND, _LOG_BOUND)
-    state = objective.evaluate(u)
+    state = evaluate(u)
     if not np.isfinite(state.ll):
         raise ValueError("non-finite log-likelihood at the initial parameters")
-    g = objective.gradient(state)
+    g = gradient(state)
     trace = [state.ll]
     nfree = int(np.sum(free))
     H = np.eye(nfree)
@@ -335,7 +321,7 @@ def _bfgs_ascent(objective, u0, free, tol):
             u_try = u.copy()
             u_try[free] = np.clip(u[free] + alpha * d, -_LOG_BOUND, _LOG_BOUND)
             try:
-                cand = objective.evaluate(u_try)
+                cand = evaluate(u_try)
                 usable = cand.jitter == 0.0 and np.isfinite(cand.ll)
             except (FactorizationError, np.linalg.LinAlgError):
                 usable = False
@@ -352,7 +338,7 @@ def _bfgs_ascent(objective, u0, free, tol):
             converged = float(np.max(np.abs(g))) <= 1e-5 * (1.0 + abs(state.ll))
             break
 
-        g_new = objective.gradient(cand)
+        g_new = gradient(cand)
         s = u_try[free] - u[free]
         y_diff = (-g_new) - gf
         sy = float(s @ y_diff)
@@ -464,20 +450,18 @@ def fit(
     if free.shape != (7,):
         raise ValueError("free mask must have 7 entries")
 
-    objective = _ProfileObjective(y, design, free)
-    sigma2_floor = 1e-10 * (1.0 + float(np.var(y)))
+    proj = _Projection(y, design)
     best = None
     failures = []
     for run in range(restarts):
         u0 = np.log(_restart_init(base, run, seed).as_array())
         try:
-            state, trace, converged, iters = _bfgs_ascent(objective, u0, free, tol)
+            state, trace, converged, iters = _bfgs_ascent(proj, u0, free, tol)
         except (FactorizationError, ValueError) as exc:
             failures.append(f"run {run}: {exc}")
             continue
         if best is None or state.ll > best.evaluation.ll:
-            best = MixedFit(state, trace, converged, iters,
-                            sigma2_boundary=bool(state.params.sigma2 < sigma2_floor))
+            best = MixedFit(state, trace, converged, iters)
     if best is None:
         raise FactorizationError(
             "all restarts failed: " + "; ".join(failures)
@@ -492,13 +476,15 @@ def _posterior(ev: _Evaluation, horizon: int = 0):
 
     Effect k has mean K* Z_k'a and covariance K** - K* Z_k'V^-1Z_k K*'
     (GPML eqs. 2.25-2.26), K* its covariance with the training effect: K for
-    the age effects, :func:`build_forecast_covariances` (K3 at horizon 0)
-    for the cohort effect.
+    the age effects; for the cohort effect, the training columns of K3**,
+    the cohort kernel on the axis extended by ``horizon`` birth years (K3 at
+    horizon 0).
     """
-    d = ev.proj.design
-    dh = build_design(d.ages, d.train_years, horizon) if horizon else d
+    d, p = ev.proj.design, ev.params
     K1, K2, _ = ev.kernels
-    cross = ((K1, K1), (K2, K2), build_forecast_covariances(ev.params, dh))
+    cohorts = np.arange(d.cohort_index[0], d.cohort_index[-1] + horizon + 1)
+    K3ss = se_kernel(cohorts, cohorts, p.c, p.s)
+    cross = ((K1, K1), (K2, K2), (K3ss[:, : d.cohort_index.size], K3ss))
     moments = []
     for (W, b), (Ks, Kss) in zip(ev.blocks(ev.beta), cross):
         moments += [Ks @ b, Kss - Ks @ W @ Ks.T]

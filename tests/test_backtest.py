@@ -326,6 +326,25 @@ class TestFailureHandling:
         assert len(report.failures) == 1
         assert np.isfinite(report.pooled[("mixed", 2)])
 
+    def test_every_window_failing_is_strict_json(self, monkeypatch):
+        surface = cbd_exact_surface((60, 63), (1985, 2008))
+
+        def singular_fit(y, design, **kw):
+            raise FactorizationError("synthetic singular covariance")
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        monkeypatch.setattr(bt.mixed_mod, "fit", singular_fit)
+        report = run_backtest(BacktestPlan(**{**self.PLAN, "windows": 2}), surface)
+        doc = json.loads(emit_report(report, "json"), parse_constant=no_constant)
+        assert doc["pooled"] == [{"model": "mixed", "horizon": 2, "rmse": None}]
+        md = emit_report(report, "markdown-table")
+        assert "| 2 | failed |" in md
+        excluded = md.split("Excluded windows:\n")[1].splitlines()
+        assert [line.split(" (")[0] for line in excluded[:2]] == [
+            "- mixed h=2 window=0", "- mixed h=2 window=1"]
+
 
 class TestNonConvergedWindows:
     def test_flagged_in_reports_and_kept_in_pool(self, monkeypatch):

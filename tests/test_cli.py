@@ -170,6 +170,15 @@ class TestFitCommand:
         Z3 = np.loadtxt(out / "matrix_Z3.csv", delimiter=",")
         assert Z3.shape == (11 * 4, 11 + 4 - 1)
 
+    def test_dump_matrices_is_mixed_only(self, data_csv, tmp_path, capsys):
+        code = run_cli(
+            "fit", "--model", "cbd", "--input", data_csv, "--ages", "60:63",
+            "--years", "1990:2000", "--dump-matrices", "--out", tmp_path / "run",
+        )
+        assert code == EXIT_ERROR
+        assert "--dump-matrices" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_rerun_from_config_is_byte_identical(self, data_csv, tmp_path):
         out = tmp_path / "run"
         run_cli(
@@ -211,6 +220,15 @@ class TestForecastCommand:
         assert len(lines) == 1 + 3 * 4  # horizon x ages
         years = sorted({int(l.split(",")[0]) for l in lines[1:]})
         assert years == [2010, 2011, 2012]
+
+    def test_takes_no_seed(self, fit_dir, tmp_path, capsys):
+        args = ("--fit", fit_dir / "fit.json", "--horizon", "2")
+        assert run_cli("forecast", *args, "--seed", "3", "--out", tmp_path / "a") == EXIT_ERROR
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        # the saved config keeps the field, at its default
+        assert run_cli("forecast", *args, "--out", tmp_path / "b") == EXIT_OK
+        assert json.loads((tmp_path / "b" / "run_config.json").read_text())["seed"] == 0
 
     def test_interval_columns_carry_the_exact_level(self, fit_dir, tmp_path):
         out = tmp_path / "fc"

@@ -15,6 +15,7 @@ from oracles import (
 )
 
 from mortcast.design import KernelParams, build_design
+from mortcast.errors import FactorizationError
 from mortcast.forecasts import Forecast, normal_quantile
 from mortcast.mixed import (
     blup,
@@ -175,6 +176,19 @@ class TestFit:
         d = build_design([60], [2000, 2001])
         with pytest.raises(ValueError):
             fit(np.zeros(2), d, restarts=0)
+
+    def test_every_restart_failing_names_each_run(self, rng, monkeypatch):
+        import mortcast.mixed as mixed_mod
+
+        def failing_chol(V):
+            raise FactorizationError("synthetic failure")
+
+        monkeypatch.setattr(mixed_mod, "cholesky_with_jitter", failing_chol)
+        d = build_design([60, 61, 62], range(2000, 2008))
+        with pytest.raises(FactorizationError) as err:
+            fit(rng.normal(size=24), d, restarts=3)
+        assert str(err.value) == "all restarts failed: " + "; ".join(
+            f"run {run}: synthetic failure" for run in range(3))
 
 
 class TestBlup:
@@ -371,7 +385,7 @@ class TestOneFactorization:
     @pytest.fixture
     def counts(self, monkeypatch):
         """Cholesky calls made through the mixed namespace, projections of
-        Z, posteriors and the optimizer's objective evaluations."""
+        Z, posteriors and evaluations of the model."""
         import mortcast.mixed as mixed_mod
 
         counts = {"chol": 0, "proj": 0, "posterior": 0, "objective": 0}
@@ -388,8 +402,8 @@ class TestOneFactorization:
                             counting("posterior", mixed_mod._posterior))
         monkeypatch.setattr(mixed_mod._Projection, "__init__",
                             counting("proj", mixed_mod._Projection.__init__))
-        monkeypatch.setattr(mixed_mod._ProfileObjective, "evaluate",
-                            counting("objective", mixed_mod._ProfileObjective.evaluate))
+        monkeypatch.setattr(mixed_mod._Evaluation, "__init__",
+                            counting("objective", mixed_mod._Evaluation.__init__))
         return counts
 
     @staticmethod
@@ -485,14 +499,13 @@ class TestJitteredTrialsRejected:
         import mortcast.mixed as mixed_mod
 
         seen = []
-        real_evaluate = mixed_mod._ProfileObjective.evaluate
+        real_init = mixed_mod._Evaluation.__init__
 
-        def recording_evaluate(self, u):
-            ev = real_evaluate(self, u)
-            seen.append(ev)
-            return ev
+        def recording_init(self, *args):
+            real_init(self, *args)
+            seen.append(self)
 
-        monkeypatch.setattr(mixed_mod._ProfileObjective, "evaluate", recording_evaluate)
+        monkeypatch.setattr(mixed_mod._Evaluation, "__init__", recording_init)
         return seen
 
     @staticmethod
@@ -516,16 +529,30 @@ class TestJitteredTrialsRejected:
 
     def test_every_other_factorization_jittered(self, rng, evaluations, monkeypatch):
         # every second factorization reports a negligible jitter, leaving the
-        # factor itself unchanged: the ascent must step through clean ones only
+        # factor itself unchanged: the ascent must step through clean ones
+        # only. When those factorizations raise instead, their trials are
+        # rejected alike, so the ascent takes the very same path.
         import mortcast.mixed as mixed_mod
 
         real_chol = mixed_mod.cholesky_with_jitter
-        calls = itertools.count(1)
 
-        def alternating_chol(V):
-            L, jitter = real_chol(V)
-            return L, (1e-300 if next(calls) % 2 == 0 else jitter)
+        def alternating_chol(raising):
+            calls = itertools.count(1)
 
-        monkeypatch.setattr(mixed_mod, "cholesky_with_jitter", alternating_chol)
-        f = fit(*TestOneFactorization.data(rng), restarts=1)
+            def chol(V):
+                L, jitter = real_chol(V)
+                if next(calls) % 2:
+                    return L, jitter
+                if raising:
+                    raise FactorizationError("synthetic failure")
+                return L, 1e-300
+            return chol
+
+        y, d = TestOneFactorization.data(rng)
+        monkeypatch.setattr(mixed_mod, "cholesky_with_jitter", alternating_chol(False))
+        f = fit(y, d, restarts=1)
         self.assert_trace_is_clean(f, evaluations)
+        monkeypatch.setattr(mixed_mod, "cholesky_with_jitter", alternating_chol(True))
+        raised = fit(y, d, restarts=1)
+        np.testing.assert_array_equal(raised.loglik_trace, f.loglik_trace)
+        assert raised.params == f.params
