@@ -257,11 +257,8 @@ def run_backtest(
             for r in rows if r.failed
         ]
         errs = [r.errors for r in rows if not r.failed]
-        if errs:
-            stacked = np.concatenate(errs)
-            pooled[(model, h)] = float(np.sqrt(np.mean(stacked**2)))
-        else:
-            pooled[(model, h)] = float("nan")
+        pooled[(model, h)] = (float(np.sqrt(np.mean(np.concatenate(errs) ** 2)))
+                              if errs else float("nan"))
     return BacktestReport(
         plan=plan,
         ages=surface.ages,
@@ -281,23 +278,16 @@ def _by_model_horizon(plan, results) -> dict[tuple[str, int], list[WindowResult]
     return groups
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def emit_report(report: BacktestReport, fmt: str) -> str:
     """Render a report as ``csv``, ``json`` or ``markdown-table`` text.
 
     Ordering is deterministic: rows sort by (model, horizon, window) with
     pooled rows (window "all") closing each horizon block.
     """
-    if fmt == "csv":
-        return _emit_csv(report)
-    if fmt == "json":
-        return _emit_json(report)
-    if fmt == "markdown-table":
-        return _emit_markdown(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+    emit = {"csv": _emit_csv, "json": _emit_json, "markdown-table": _emit_markdown}
+    if fmt not in emit:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return emit[fmt](report)
 
 
 def _emit_csv(report: BacktestReport) -> str:
@@ -308,8 +298,8 @@ def _emit_csv(report: BacktestReport) -> str:
     for model, h in sorted(groups):
         prefix = f"{model},{plan.label},{plan.sex},{h}"
         for r in groups[(model, h)]:
-            out.write(f"{prefix},{r.window},{_fmt(r.rmse)}\n")
-        out.write(f"{prefix},all,{_fmt(report.pooled[(model, h)])}\n")
+            out.write(f"{prefix},{r.window},{float(r.rmse)!r}\n")
+        out.write(f"{prefix},all,{float(report.pooled[(model, h)])!r}\n")
     return out.getvalue()
 
 

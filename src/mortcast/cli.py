@@ -46,6 +46,7 @@ from .data import (
     window_counts,
 )
 from .design import assemble_V, build_design
+from .forecasts import normal_quantile
 from .mixed import MixedFit
 
 EXIT_OK = 0
@@ -81,8 +82,7 @@ class RunConfig:
     dump_matrices: bool = False
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -239,10 +239,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     if cfg.model == "mixed":
         design = build_design(surface.ages, surface.years)
         fit = mixed_mod.fit(surface.y, design, restarts=cfg.restarts, seed=cfg.seed)
-        converged = fit.converged
         summary = [
-            f"model: mixed ({surface.years[0]}-{surface.years[-1]}, "
-            f"ages {surface.ages[0]}-{surface.ages[-1]})",
             f"log-likelihood: {fit.loglik:.4f}",
             "params: "
             + ", ".join(
@@ -250,7 +247,7 @@ def cmd_fit(cfg: RunConfig) -> int:
                 for name in fit.params.NAMES
             ),
             f"beta: [{fit.fixed.beta[0]:.4f}, {fit.fixed.beta[1]:.4f}]",
-            f"converged: {converged} ({fit.n_iter} iterations)",
+            f"converged: {fit.converged} ({fit.n_iter} iterations)",
         ]
         if fit.sigma2_boundary:
             summary.append("warning: sigma2 at its lower boundary")
@@ -266,40 +263,20 @@ def cmd_fit(cfg: RunConfig) -> int:
         D, E = counts or cbd_mod.synthesize_counts(surface.q, cfg.synth_exposure)
         k = surface.n_years  # counts span the whole --years window
         fit = cbd_mod.fit_cbd(D[:k], E[:k], surface.ages, surface.years)
-        converged = fit.converged
         r1, r2 = fit.constraint_residuals
         summary = [
-            f"model: cbd ({surface.years[0]}-{surface.years[-1]}, "
-            f"ages {surface.ages[0]}-{surface.ages[-1]})",
             f"poisson log-likelihood: {fit.loglik:.4f}",
             f"constraint residuals: ({r1:.2e}, {r2:.2e})",
-            f"converged: {converged} ({fit.n_sweeps} sweeps)",
+            f"converged: {fit.converged} ({fit.n_sweeps} sweeps)",
         ]
     elapsed = time.perf_counter() - t0
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write(out_dir, "run_config.json", cfg.to_json())  # makes out_dir for fit.json
     artifacts.save_fit(fit, out_dir / "fit.json")
-    _write(out_dir, "run_config.json", cfg.to_json())
+    print(f"model: {cfg.model} ({surface.years[0]}-{surface.years[-1]}, "
+          f"ages {surface.ages[0]}-{surface.ages[-1]})")
     print("\n".join(summary))
     print(f"fit written to {out_dir / 'fit.json'} in {elapsed:.1f}s")
-    return EXIT_OK if converged else EXIT_NONCONVERGENCE
-
-
-def _forecast_rows(fc, alpha):
-    lo, hi = fc.interval(alpha)
-    rows = []
-    for i in range(fc.years.size):
-        for j, age in enumerate(fc.ages):
-            rows.append(
-                (
-                    int(fc.years[i]),
-                    int(age),
-                    float(fc.mean[i, j]),
-                    float(inverse_logit(fc.mean[i, j])),
-                    float(lo[i, j]),
-                    float(hi[i, j]),
-                )
-            )
-    return rows
+    return EXIT_OK if fit.converged else EXIT_NONCONVERGENCE
 
 
 def cmd_forecast(cfg: RunConfig) -> int:
@@ -307,6 +284,7 @@ def cmd_forecast(cfg: RunConfig) -> int:
         raise UsageError("--fit is required")
     if cfg.horizon is None or cfg.horizon <= 0:
         raise UsageError("--horizon must be a positive integer")
+    normal_quantile(cfg.alpha)  # rejects a bad --alpha before the artifact loads
     path = Path(cfg.fit_path)
     if not path.exists():
         raise MortcastError(f"fit artifact not found: {path}")
@@ -322,8 +300,11 @@ def cmd_forecast(cfg: RunConfig) -> int:
         drift = cbd_mod.estimate_rw(fit, divisor=cfg.rw_divisor)
         fc = cbd_mod.forecast_cbd(fit, drift, cfg.horizon)
 
-    rows = _forecast_rows(fc, cfg.alpha)
-    level = f"{100 * (1 - cfg.alpha):g}"  # the band's exact coverage, in percent
+    # (year, age, mean, q, lo, hi) per cell, in (year, age) order
+    years, ages = np.meshgrid(fc.years, fc.ages, indexing="ij")
+    grids = (years, ages, fc.mean, inverse_logit(fc.mean), *fc.interval(cfg.alpha))
+    rows = list(zip(*(g.ravel().tolist() for g in grids)))
+    level = f"{100 * (1 - cfg.alpha):.15g}"  # the band's exact coverage, in percent
     out_dir = Path(cfg.out)
     head = f"year,age,mean_logit,q_mean,lo{level},hi{level}\n"
     body = "".join(

@@ -301,11 +301,9 @@ def parse_table(text: str, fmt: str, sex: str = "total") -> RawMortalityTable:
     sex : {"female", "male", "total"}
         Column selected from hmd_1x1 input; ignored for csv.
     """
-    if fmt == "hmd_1x1":
-        return _parse_hmd_1x1(text, sex)
-    if fmt == "csv":
-        return _parse_csv(text)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in ("hmd_1x1", "csv"):
+        raise ValueError(f"unknown format {fmt!r}")
+    return _parse_hmd_1x1(text, sex) if fmt == "hmd_1x1" else _parse_csv(text)
 
 
 @dataclass(frozen=True)
@@ -359,16 +357,12 @@ class MortalitySurface:
         return self.ages.size
 
 
-def _axis(spec, name: str) -> np.ndarray:
-    """Normalize an (lo, hi) pair or iterable of consecutive ints to an array."""
-    if isinstance(spec, tuple) and len(spec) == 2 and all(
-        np.isscalar(v) for v in spec
-    ):
-        lo, hi = int(spec[0]), int(spec[1])
-        if hi < lo:
-            raise ValueError(f"{name} range {lo}:{hi} is reversed")
-        return np.arange(lo, hi + 1)
-    return consecutive_axis(spec, name)
+def _axis(window, name: str) -> np.ndarray:
+    """The years or ages of an inclusive (lo, hi) window."""
+    lo, hi = map(int, window)
+    if hi < lo:
+        raise ValueError(f"{name} range {lo}:{hi} is reversed")
+    return np.arange(lo, hi + 1)
 
 
 def build_surface(
@@ -382,7 +376,7 @@ def build_surface(
     Parameters
     ----------
     table : RawMortalityTable
-    ages, years : (lo, hi) inclusive pairs or iterables of consecutive ints
+    ages, years : (lo, hi) inclusive windows
     clamp_q : float in (0, 1), optional
         If given, rates q <= 0 are replaced by this value instead of
         raising ``NonFiniteLogitError``. Off by default: silent imputation

@@ -111,7 +111,6 @@ def build_design(ages, train_years, horizon: int = 0) -> DesignSet:
         raise ValueError("horizon must be >= 0")
 
     m = ages.size
-    n = train_years.size
     t_bar = float(train_years.mean())
     years = np.arange(train_years[0], train_years[-1] + horizon + 1)
     n_all = years.size

@@ -299,10 +299,8 @@ def _bfgs_ascent(proj: _Projection, u0, free, tol):
     H = np.eye(nfree)
     converged = False
     last_small = False
-    it = 0
 
-    while it < MAX_ITER:
-        it += 1
+    for it in range(1, MAX_ITER + 1):
         gf = -g  # gradient of the objective being minimized
         d = -H @ gf
         if float(d @ gf) >= 0.0:  # not a descent direction: reset
@@ -444,7 +442,6 @@ def fit(
         raise ValueError("fit expects a training design (horizon 0)")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    y = _as_stacked(y, design)
     base = init if init is not None else default_init(y, design)
     free = np.ones(7, dtype=bool) if free is None else np.asarray(free, dtype=bool)
     if free.shape != (7,):

@@ -239,6 +239,31 @@ class TestForecastCommand:
         assert head == "year,age,mean_logit,q_mean,lo97.5,hi97.5"
         head = (out / "plot_data.csv").read_text().splitlines()[0]
         assert head == "age,year,mean_logit,lo97.5,hi97.5"
+        # a finite band is never labelled 100: six significant digits would
+        # round 99.99999 up
+        out = tmp_path / "fc7"
+        code = run_cli("forecast", "--fit", fit_dir / "fit.json", "--horizon",
+                       "2", "--alpha", "1e-7", "--out", out)
+        assert code == EXIT_OK
+        head = (out / "forecast.csv").read_text().splitlines()[0]
+        assert head == "year,age,mean_logit,q_mean,lo99.99999,hi99.99999"
+        row = (out / "forecast.csv").read_text().splitlines()[1].split(",")
+        assert np.all(np.isfinite([float(v) for v in row[4:]]))
+
+    @pytest.mark.parametrize("alpha", ["1e-17", "nan"])
+    def test_bad_alpha_exits_one_before_loading(self, fit_dir, tmp_path, capsys,
+                                                monkeypatch, alpha):
+        # 1 - 1e-17/2 rounds to 1, which would make an infinite band
+        def no_load(path):
+            raise AssertionError("load_fit called")
+
+        monkeypatch.setattr(artifacts, "load_fit", no_load)
+        code = run_cli("forecast", "--fit", fit_dir / "fit.json", "--horizon",
+                       "2", "--alpha", alpha, "--out", tmp_path / "fc")
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "alpha" in err and repr(float(alpha)) in err
+        assert not (tmp_path / "fc").exists()
 
     def test_q_mean_is_logistic_of_logit(self, fit_dir, tmp_path):
         out = tmp_path / "fc"
@@ -485,7 +510,7 @@ class TestImportHygiene:
             "import mortcast\n"
             "assert 'numpy' not in sys.modules, 'import mortcast loaded numpy'\n"
             "import mortcast.cli\n"
-            "assert 'scipy.stats' not in sys.modules, 'mortcast.cli loaded scipy.stats'\n"
+            "assert 'scipy' not in sys.modules, 'mortcast.cli loaded scipy'\n"
             "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', "
             "'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))\n"
         )
@@ -525,16 +550,32 @@ class TestImportHygiene:
                               text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_forecast_loads_no_scipy(self, data_csv, fit_dir, tmp_path):
+        cbd_dir = tmp_path / "cbd"
+        assert run_cli("fit", "--model", "cbd", "--input", data_csv, "--ages", "60:63",
+                       "--years", "1990:2009", "--out", cbd_dir) == EXIT_OK
+        code = (
+            "import sys\n"
+            "from mortcast.cli import main\n"
+            "for fit, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    assert main(['forecast', '--fit', fit, '--horizon', '3', '--out', out]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, f'forecast loaded {loaded}'\n"
+        )
+        args = [fit_dir / "fit.json", tmp_path / "mixed_fc", cbd_dir / "fit.json",
+                tmp_path / "cbd_fc"]
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "mixed_fc" / "forecast.csv").exists()
+        assert (tmp_path / "cbd_fc" / "forecast.csv").exists()
+
     def test_no_module_level_scipy_import(self):
-        """Only a function body may import scipy: module and class bodies
-        run at import time."""
+        """The package imports scipy nowhere, not even in a function body:
+        scipy is a test-only dependency."""
         offenders = []
         for path in sorted(Path(mortcast.__file__).parent.glob("*.py")):
-            stack = list(ast.parse(path.read_text(), str(path)).body)
-            while stack:
-                node = stack.pop()
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                    continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Import):
                     names = [a.name for a in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -543,5 +584,4 @@ class TestImportHygiene:
                     names = []
                 if any(n.split(".")[0] == "scipy" for n in names):
                     offenders.append(f"{path.name}:{node.lineno}")
-                stack.extend(ast.iter_child_nodes(node))
-        assert not offenders, f"module-level scipy imports: {offenders}"
+        assert not offenders, f"scipy imports: {offenders}"

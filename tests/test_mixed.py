@@ -313,6 +313,34 @@ class TestForecast:
         for alpha in np.linspace(1e-6, 1.0 - 1e-6, 2001):
             assert normal_quantile(alpha) == scipy.stats.norm.ppf(1.0 - alpha / 2.0)
 
+    def test_quantile_is_ndtri_bit_for_bit_at_every_branch(self):
+        """The grid above stops at x = z(alpha) ~ 5.4; this reaches the far
+        tail, where Cephes switches to its P2/Q2 pair at x = 8, and both
+        sides of its centre/tail switch at 1 - alpha/2 = 1 - exp(-2)."""
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(7)
+        edge = 1.0 - 0.1353352832366127  # centre branch while 1 - alpha/2 <= edge
+        far = 2.0 * math.exp(-32.0)  # alpha at x = sqrt(-2 log(alpha/2)) = 8
+        alphas = np.concatenate([
+            10.0 ** rng.uniform(math.log10(2.3e-16), -6.0, 20000),
+            # 1 - alpha/2 is exactly edge and its 3 neighbours on either side
+            2.0 * (1.0 - (edge + np.arange(-3, 4) * np.spacing(edge))),
+            2.0 * (1.0 - edge) * (1.0 + np.linspace(-1e-9, 1e-9, 401)),
+            far * (1.0 + np.linspace(-1e-6, 1e-6, 401)),
+        ])
+        y, x = 1.0 - alphas / 2.0, np.sqrt(-2.0 * np.log(alphas / 2.0))
+        assert np.any(y == edge) and np.sum(y < edge) > 200 and np.sum(y > edge) > 200
+        assert np.sum(x < 8.0) > 1000 and np.sum(x >= 8.0) > 1000
+        ours = np.array([normal_quantile(a) for a in alphas.tolist()])
+        np.testing.assert_array_equal(ours, ndtri(1.0 - alphas / 2.0))
+
+    @pytest.mark.parametrize("alpha", [1e-17, 1.1e-16])
+    def test_quantile_rejects_an_alpha_that_rounds_the_band_to_infinity(self, alpha):
+        # 1 - alpha/2 rounds to 1.0 in double precision
+        with pytest.raises(ValueError, match=f"alpha {alpha!r}"):
+            normal_quantile(alpha)
+
     def test_intervals_are_calibrated(self):
         # at the generating hyperparameters the predictive distribution is
         # exact up to the GLS estimate of beta, whose variance it includes
