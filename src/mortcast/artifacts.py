@@ -76,7 +76,8 @@ def _cbd_to_dict(fit: CbdFit) -> dict:
 def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
     y = stack_grid(np.asarray(doc["y"], dtype=float))
     return MixedFit(
-        evaluation=_evaluate(y, build_design(ages, years), KernelParams(**doc["params"])),
+        evaluation=_evaluate(y, build_design(ages, years),
+                             KernelParams(*(doc["params"][n] for n in KernelParams.NAMES))),
         loglik_trace=np.asarray(doc["loglik_trace"], dtype=float),
         converged=bool(doc["converged"]),
         n_iter=int(doc["n_iter"]),
@@ -112,12 +113,21 @@ def save_fit(fit: MixedFit | CbdFit, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+class _Object(dict):  # a JSON object of an artifact: a missing key is a ValueError
+    def __missing__(self, key):
+        raise ValueError(f"fit artifact has no {key!r} key")
+
+
 def load_fit(path) -> MixedFit | CbdFit:
-    """Rebuild a fit object from its JSON artifact."""
-    doc = json.loads(Path(path).read_text())
+    """Rebuild a fit object from its JSON artifact (``ValueError`` if malformed)."""
+    doc = json.loads(Path(path).read_text(), object_hook=_Object)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a fit artifact is a JSON object, not {type(doc).__name__}")
     model = doc.get("model")
     if model not in ("mixed", "cbd"):
         raise ValueError(f"unknown or missing model tag {model!r}")
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"fit artifact schema_version {doc['schema_version']!r} is not 1")
     ages, years = (np.arange(int(lo), int(hi) + 1) for lo, hi in
                    (doc["window"]["ages"], doc["window"]["years"]))
     return (_dict_to_mixed if model == "mixed" else _dict_to_cbd)(doc, ages, years)

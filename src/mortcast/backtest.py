@@ -67,7 +67,6 @@ class BacktestPlan:
     seed: int = 0
     restarts: int = 1
     rw_divisor: str = "n"
-    synth_exposure: float = 1e5
     workers: int | None = None
 
     def __post_init__(self):
@@ -221,13 +220,13 @@ def run_backtest(
     in ``report.failures``; windows whose fit stopped without converging
     stay in the pooled average and are flagged per result (``converged``).
     Without counts, the CBD fits read counts synthesized once from the
-    surface's rates at ``plan.synth_exposure``.
+    surface's rates by :func:`mortcast.cbd.synthesize_counts`.
     """
     plan.check_surface(surface)
     if (deaths is None) != (exposures is None):
         raise ValueError("provide deaths and exposures together or not at all")
     if deaths is None:
-        deaths, exposures = cbd_mod.synthesize_counts(surface.q, plan.synth_exposure)
+        deaths, exposures = cbd_mod.synthesize_counts(surface.q)
     if np.shape(deaths) != surface.q.shape or np.shape(exposures) != surface.q.shape:
         raise ValueError("deaths/exposures grids must match the surface")
 

@@ -35,6 +35,9 @@ from .forecasts import Forecast
 MIN_COHORT_CELLS = 3
 #: sweeps stop once an accepted sweep gains at most TOL * (1 + |LL|)
 TOL = 1e-8
+#: flat exposure of counts synthesized from rates: the Poisson LL is then
+#: E * sum(m log mu - mu) + const, so the level cannot move its maximum
+SYNTH_EXPOSURE = 1e5
 
 
 @dataclass(frozen=True)
@@ -394,17 +397,13 @@ def forecast_cbd(
     return Forecast(ages=fit.ages, years=years_fc, mean=mean, variance=variance)
 
 
-def synthesize_counts(q: np.ndarray, exposure: float = 1e5):
-    """Back out (D, E) grids from initial rates with a flat exposure level.
+def synthesize_counts(q: np.ndarray):
+    """Back out (D, E) grids from initial rates at exposure ``SYNTH_EXPOSURE``.
 
     Used when a data source provides rates only: m = -log(1 - q), E is
     constant, D = E * m (non-integer counts are fine for the fitting
     routines).
     """
-    exposure = float(exposure)
-    if not (np.isfinite(exposure) and exposure > 0):
-        raise ValueError(f"exposure must be positive and finite, got {exposure!r}")
     q = np.asarray(q, dtype=float)
-    m = initial_to_central(q)
-    E = np.full_like(q, exposure)
-    return E * m, E
+    E = np.full_like(q, SYNTH_EXPOSURE)
+    return E * initial_to_central(q), E

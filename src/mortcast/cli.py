@@ -78,7 +78,6 @@ class RunConfig:
     label: str = "dataset"
     clamp_q: float | None = None
     rw_divisor: str = "n"
-    synth_exposure: float = 1e5
     dump_matrices: bool = False
 
     def to_json(self) -> str:
@@ -87,6 +86,13 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict) or "command" not in doc:
+            raise UsageError("a run config is a JSON object with a 'command' key")
+        # saved when it was a setting; only today's constant reproduces the run
+        exposure = doc.pop("synth_exposure", cbd_mod.SYNTH_EXPOSURE)
+        if exposure != cbd_mod.SYNTH_EXPOSURE:
+            raise UsageError(f"config synth_exposure {exposure!r} cannot be reproduced: "
+                             f"counts are synthesized at {cbd_mod.SYNTH_EXPOSURE!r}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -153,9 +159,6 @@ def _parser() -> argparse.ArgumentParser:
                    "the --years window is held out)")
     f.add_argument("--restarts", type=int, default=3)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--exposure", type=float, default=1e5, dest="synth_exposure",
-                   help="flat exposure used to synthesize counts for the "
-                   "CBD fit when the input has no deaths/exposure columns")
     f.add_argument("--dump-matrices", action="store_true",
                    help="also write the mixed model's design and covariances as CSV")
     add_common(f)
@@ -178,7 +181,6 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--restarts", type=int, default=1)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--rw-divisor", choices=["n", "n-1"], default="n")
-    b.add_argument("--exposure", type=float, default=1e5, dest="synth_exposure")
     b.add_argument("--label", default="dataset")
     add_common(b)
     return p
@@ -196,7 +198,11 @@ def _config_from_args(args: argparse.Namespace, argv: list[str]) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
-        return RunConfig.from_json(path.read_text())
+        cfg = RunConfig.from_json(path.read_text())
+        if cfg.command != args.command:
+            raise UsageError(f"{path} reruns 'mortcast {cfg.command}', not "
+                             f"'mortcast {args.command}'")
+        return cfg
     return RunConfig(**{f.name: getattr(args, f.name)
                         for f in fields(RunConfig) if hasattr(args, f.name)})
 
@@ -260,7 +266,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             ]:
                 _write(out_dir, f"matrix_{name}.csv", _matrix_csv(mat))
     else:
-        D, E = counts or cbd_mod.synthesize_counts(surface.q, cfg.synth_exposure)
+        D, E = counts or cbd_mod.synthesize_counts(surface.q)
         k = surface.n_years  # counts span the whole --years window
         fit = cbd_mod.fit_cbd(D[:k], E[:k], surface.ages, surface.years)
         r1, r2 = fit.constraint_residuals
@@ -355,14 +361,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         thread_cap()  # a bad MORTCAST_THREADS fails every command, not just backtest
-        cfg = _config_from_args(args, argv)
-        if cfg.command == "fit":
-            return cmd_fit(cfg)
-        if cfg.command == "forecast":
-            return cmd_forecast(cfg)
-        if cfg.command == "backtest":
-            return cmd_backtest(cfg)
-        raise UsageError(f"unknown command {cfg.command!r}")
+        cfg = _config_from_args(args, argv)  # cfg.command is args.command
+        run = {"fit": cmd_fit, "forecast": cmd_forecast, "backtest": cmd_backtest}
+        return run[cfg.command](cfg)
     except (MortcastError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

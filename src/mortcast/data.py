@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -308,7 +309,7 @@ def parse_table(text: str, fmt: str, sex: str = "total") -> RawMortalityTable:
 
 @dataclass(frozen=True)
 class MortalitySurface:
-    """Complete rectangular grid of initial rates and their logits.
+    """Complete rectangular grid of initial rates.
 
     Attributes
     ----------
@@ -319,42 +320,35 @@ class MortalitySurface:
     q : float array, shape (n, m)
         Initial rates in (0, 1); rows index years, columns index ages.
     y : float array, shape (n, m)
-        logit(q).
+        logit(q), computed on first use (finite, as q is inside (0, 1)).
     """
 
     ages: np.ndarray
     years: np.ndarray
     q: np.ndarray
-    y: np.ndarray
 
     def __post_init__(self):
         ages = consecutive_axis(self.ages, "ages")
         years = consecutive_axis(self.years, "years")
         q = np.asarray(self.q, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if q.shape != (years.size, ages.size) or y.shape != q.shape:
+        if q.shape != (years.size, ages.size):
             raise ValueError(
                 f"grid shape {q.shape} does not match "
                 f"{years.size} years x {ages.size} ages"
             )
         if not np.all((q > 0.0) & (q < 1.0)):  # NaN fails both comparisons
             raise NonFiniteLogitError("surface rate outside (0, 1)")
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteLogitError("non-finite logit in surface")
-        if np.max(np.abs(y - logit(q))) > 1e-12:
-            raise ValueError("y grid is not the logit of the q grid")
         object.__setattr__(self, "ages", ages)
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "y", y)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return logit(self.q)
 
     @property
     def n_years(self) -> int:
         return self.years.size
-
-    @property
-    def n_ages(self) -> int:
-        return self.ages.size
 
 
 def _axis(window, name: str) -> np.ndarray:
@@ -413,7 +407,7 @@ def build_surface(
         if qx <= 0.0 and clamp_q is None:
             raise NonFiniteLogitError("rate q <= 0", year=t, age=x)
         raise NonFiniteLogitError("rate q >= 1", year=t, age=x)
-    return MortalitySurface(ages=ages, years=years, q=q, y=logit(q))
+    return MortalitySurface(ages=ages, years=years, q=q)
 
 
 def checked_counts(D, E, ages, years) -> tuple[np.ndarray, np.ndarray]:
@@ -471,10 +465,5 @@ def split_train_test(
             f"[{years[0]}, {years[-1] - 1}]"
         )
     k = int(last_train_year - years[0]) + 1
-    train = MortalitySurface(
-        ages=surface.ages, years=years[:k], q=surface.q[:k], y=surface.y[:k]
-    )
-    test = MortalitySurface(
-        ages=surface.ages, years=years[k:], q=surface.q[k:], y=surface.y[k:]
-    )
-    return train, test
+    return (MortalitySurface(ages=surface.ages, years=years[:k], q=surface.q[:k]),
+            MortalitySurface(ages=surface.ages, years=years[k:], q=surface.q[k:]))

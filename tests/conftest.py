@@ -28,8 +28,7 @@ def make_surface(ages, years, rng, trend=-0.03, noise=0.02):
     y = y + 0.1 * np.sin(ages / 7.0)[None, :]
     y = y + noise * rng.standard_normal(y.shape)
     q = inverse_logit(y)
-    return MortalitySurface(ages=ages, years=years, q=q,
-                            y=np.log(q) - np.log1p(-q))
+    return MortalitySurface(ages=ages, years=years, q=q)
 
 
 @pytest.fixture

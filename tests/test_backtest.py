@@ -27,8 +27,7 @@ def cbd_exact_surface(ages, years, slope=-0.025):
     k2 = np.full(years.size, 0.11)
     eta = k1[:, None] + k2[:, None] * (ages - ages.mean())[None, :]
     q = inverse_logit(eta)
-    return MortalitySurface(ages=ages, years=years, q=q,
-                            y=np.log(q) - np.log1p(-q))
+    return MortalitySurface(ages=ages, years=years, q=q)
 
 
 class TestRmseCurve:
@@ -96,8 +95,7 @@ def small_report():
     # perturb so errors are non-trivial
     y = surface.y + 0.03 * rng.standard_normal(surface.y.shape)
     q = inverse_logit(y)
-    surface = MortalitySurface(ages=surface.ages, years=surface.years,
-                               q=q, y=np.log(q) - np.log1p(-q))
+    surface = MortalitySurface(ages=surface.ages, years=surface.years, q=q)
     plan = BacktestPlan(ages=(60, 63), horizons=(2, 4), windows=3,
                         models=("cbd", "mixed"), restarts=1, workers=1)
     return run_backtest(plan, surface), surface, plan
@@ -185,15 +183,14 @@ class TestOneFitPerTrainingWindow:
         rng = np.random.default_rng(11)
         base = cbd_exact_surface((60, 63), (1985, 2008))
         q = inverse_logit(base.y + 0.02 * rng.standard_normal(base.y.shape))
-        return MortalitySurface(ages=base.ages, years=base.years, q=q,
-                                y=np.log(q) - np.log1p(-q))
+        return MortalitySurface(ages=base.ages, years=base.years, q=q)
 
     @staticmethod
     def single_task(surface, plan, model, horizon, train_end, fit_cbd, fit_mixed):
         """fit -> forecast(horizon) -> rmse_curve for one task alone."""
         k = train_end - int(surface.years[0]) + 1
         if model == "cbd":
-            D, E = bt.cbd_mod.synthesize_counts(surface.q[:k], plan.synth_exposure)
+            D, E = bt.cbd_mod.synthesize_counts(surface.q[:k])
             fit = fit_cbd(D, E, surface.ages, surface.years[:k])
             drift = bt.cbd_mod.estimate_rw(fit, divisor=plan.rw_divisor)
             fc = bt.cbd_mod.forecast_cbd(fit, drift, horizon)
@@ -352,8 +349,7 @@ class TestNonConvergedWindows:
         surface = cbd_exact_surface((60, 66), (1985, 2010))
         y = surface.y + 0.01 * np.random.default_rng(5).standard_normal(surface.y.shape)
         q = inverse_logit(y)
-        surface = MortalitySurface(ages=surface.ages, years=surface.years,
-                                   q=q, y=np.log(q) - np.log1p(-q))
+        surface = MortalitySurface(ages=surface.ages, years=surface.years, q=q)
         plan = BacktestPlan(ages=(60, 66), horizons=(2, 4), windows=3,
                             models=("cbd",), workers=1)
         real_fit = bt.cbd_mod.fit_cbd
@@ -532,9 +528,9 @@ class TestPlanValidation:
         real = bt.cbd_mod.synthesize_counts
         calls = []
 
-        def counted(q, exposure=1e5):
+        def counted(q):
             calls.append(q.shape)
-            return real(q, exposure)
+            return real(q)
 
         monkeypatch.setattr(bt.cbd_mod, "synthesize_counts", counted)
         report = run_backtest(plan, surface)

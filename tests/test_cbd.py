@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mortcast import cbd
 from mortcast.cbd import (
     CbdFit,
     _log_factorial,
@@ -203,7 +204,7 @@ class TestKernelsAgainstScipy:
         from scipy.special import gammaln
 
         q = inverse_logit(np.linspace(-9.0, -0.5, 600)).reshape(20, 30)
-        D, _ = synthesize_counts(q, exposure=2e3)
+        D, _ = synthesize_counts(q)
         D = np.concatenate([[0.0, 0.5, 1.0, 1.5, 2.0], D.ravel()])
         assert np.any(D != np.round(D))
         np.testing.assert_allclose(_log_factorial(D), gammaln(D + 1.0),
@@ -222,6 +223,22 @@ class TestFitCbd:
         assert np.max(np.abs(f.kappa1 - tk1)) < 1e-2
         assert np.max(np.abs(f.kappa2 - tk2)) < 1e-2
         assert np.max(np.abs(f.gamma3[f.included] - tg3[f.included])) < 1e-2
+
+    def test_exposure_level_leaves_the_maximum_unmoved(self, monkeypatch):
+        # with E flat the log-likelihood is E * sum(m log mu - mu) + const, so
+        # rate-only input loses nothing to the constant SYNTH_EXPOSURE; the
+        # default TOL stop scales with |LL| and would end each level early
+        monkeypatch.setattr(cbd, "TOL", 0.0)
+        ages = np.arange(60, 70)
+        years = np.arange(1990, 2015)
+        eta = linear_predictor(*true_curves(ages, years), ages, years)
+        noise = np.random.default_rng(7).standard_normal(eta.shape)
+        m = death_rate(eta) * np.exp(0.05 * noise)
+        fits = [fit_cbd(E * m, np.full(m.shape, E), ages, years) for E in (1e2, 1e5, 1e7)]
+        for f in fits[::2]:
+            for name in ("kappa1", "kappa2", "gamma3"):
+                np.testing.assert_allclose(getattr(f, name), getattr(fits[1], name),
+                                           rtol=0, atol=1e-4)
 
     def test_transform_leaves_rates_unchanged(self):
         ages = np.arange(60, 66)
@@ -471,11 +488,6 @@ class TestForecastCbd:
 class TestSynthesizeCounts:
     def test_counts_imply_original_rates(self, rng):
         q = rng.uniform(0.01, 0.3, size=(4, 3))
-        D, E = synthesize_counts(q, exposure=1e5)
+        D, E = synthesize_counts(q)
         np.testing.assert_allclose(-np.expm1(-D / E), q, rtol=1e-12)
         assert np.all(E == 1e5)
-
-    @pytest.mark.parametrize("exposure", [0.0, -1e5, np.nan, np.inf])
-    def test_rejects_an_exposure_that_is_not_positive_and_finite(self, exposure):
-        with pytest.raises(ValueError, match="exposure must be positive"):
-            synthesize_counts(np.full((3, 2), 0.01), exposure)

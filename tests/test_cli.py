@@ -265,6 +265,30 @@ class TestForecastCommand:
         assert "alpha" in err and repr(float(alpha)) in err
         assert not (tmp_path / "fc").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc, cfg: cfg, "no 'schema_version' key"),
+        (lambda doc, cfg: {k: v for k, v in doc.items() if k != "params"},
+         "no 'params' key"),
+        (lambda doc, cfg: {**doc, "params": {k: v for k, v in doc["params"].items()
+                                             if k != "sigma2"}},
+         "no 'sigma2' key"),
+        (lambda doc, cfg: {**doc, "window": {"ages": doc["window"]["ages"]}},
+         "no 'years' key"),
+        (lambda doc, cfg: {**doc, "schema_version": 2}, "schema_version 2 is not 1"),
+        (lambda doc, cfg: [doc], "JSON object"),
+    ], ids=["run-config", "no-params", "no-sigma2", "no-years", "schema-2", "list"])
+    def test_malformed_artifact_exits_one(self, fit_dir, tmp_path, capsys,
+                                          edit, message):
+        doc = json.loads((fit_dir / "fit.json").read_text())
+        cfg = json.loads((fit_dir / "run_config.json").read_text())
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(edit(doc, cfg)))
+        code = run_cli("forecast", "--fit", path, "--horizon", "2",
+                       "--out", tmp_path / "fc")
+        assert code == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fc").exists()
+
     def test_q_mean_is_logistic_of_logit(self, fit_dir, tmp_path):
         out = tmp_path / "fc"
         run_cli("forecast", "--fit", fit_dir / "fit.json", "--horizon", "2",
@@ -379,7 +403,7 @@ class TestBacktestCommand:
 
     @pytest.mark.parametrize("flags, message", [
         (("--restarts", "0"), "restarts must be >= 1"),
-        (("--exposure", "0"), "exposure must be positive"),
+        (("--exposure", "1e3"), "unrecognized arguments: --exposure"),
         (("--models", ""), "non-empty subset"),
         (("--horizons", "2,x"), "--horizons"),
     ])
@@ -416,6 +440,55 @@ class TestRunConfig:
         assert run_cli("fit", "--config", path) == EXIT_ERROR
         assert "var_beta" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
+
+    def test_exposure_is_gone(self, data_csv, tmp_path, capsys):
+        args = ("--model", "cbd", "--input", data_csv, "--ages", "60:63",
+                "--years", "1990:2005")
+        assert run_cli("fit", *args, "--exposure", "1e3", "--out", tmp_path / "a") == EXIT_ERROR
+        assert not (tmp_path / "a").exists()
+        out = tmp_path / "b"
+        assert run_cli("fit", *args, "--out", out) == EXIT_OK
+        first = (out / "fit.json").read_bytes()
+        cfg = json.loads((out / "run_config.json").read_text())
+        # a config saved at the old default still reruns its fit byte for byte
+        (out / "fit.json").unlink()
+        (out / "run_config.json").write_text(json.dumps({**cfg, "synth_exposure": 100000.0}))
+        assert run_cli("fit", "--config", out / "run_config.json") == EXIT_OK
+        assert (out / "fit.json").read_bytes() == first
+        # any other level named a run that can no longer be reproduced
+        path = tmp_path / "other.json"
+        other = tmp_path / "c"
+        path.write_text(json.dumps({**cfg, "out": str(other), "synth_exposure": 1000.0}))
+        capsys.readouterr()
+        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert "synth_exposure 1000.0" in capsys.readouterr().err
+        assert not other.exists()
+
+    def test_config_reruns_only_its_own_command(self, fit_dir, tmp_path, capsys):
+        saved = (fit_dir / "fit.json").read_bytes()
+        code = run_cli("forecast", "--config", fit_dir / "run_config.json")
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "'mortcast fit'" in err and "'mortcast forecast'" in err
+        assert (fit_dir / "fit.json").read_bytes() == saved
+        assert not (fit_dir / "forecast.csv").exists()
+        path = tmp_path / "run_config.json"
+        path.write_text(RunConfig(command="backtest", out=str(tmp_path / "bt")).to_json())
+        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "'mortcast backtest'" in err and "'mortcast fit'" in err
+        assert not (tmp_path / "bt").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("5", "JSON object"),
+        ("[]", "JSON object"),
+        ('{"input": "x.csv"}', "'command'"),
+    ], ids=["number", "list", "no-command"])
+    def test_malformed_config_exits_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run_config.json"
+        path.write_text(text)
+        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert message in capsys.readouterr().err
 
     def test_config_takes_no_other_flag(self, fit_dir, tmp_path, capsys):
         first = tmp_path / "a"
@@ -539,7 +612,7 @@ class TestImportHygiene:
             "grid = unstack_vector(y, d.n_train, d.n_ages)\n"
             "q = inverse_logit(grid)\n"
             "fit_cbd(*synthesize_counts(q), d.ages, d.train_years)\n"
-            "surface = MortalitySurface(ages=d.ages, years=d.train_years, q=q, y=grid)\n"
+            "surface = MortalitySurface(ages=d.ages, years=d.train_years, q=q)\n"
             "run_backtest(BacktestPlan(ages=(60, 63), horizons=(2,), windows=2,\n"
             "                          restarts=1, workers=1), surface)\n"
             "no_scipy('by a mixed fit, a CBD fit or a backtest')\n"

@@ -365,22 +365,11 @@ class TestSurfaceValidation:
                 ages=small_surface.ages,
                 years=np.array([2000, 2002]),
                 q=small_surface.q[:2],
-                y=small_surface.y[:2],
-            )
-
-    def test_rejects_mismatched_logits(self, small_surface):
-        with pytest.raises(ValueError, match="logit"):
-            MortalitySurface(
-                ages=small_surface.ages,
-                years=small_surface.years,
-                q=small_surface.q,
-                y=small_surface.y + 1e-6,
             )
 
     def test_rejects_nan_rate(self):
         with pytest.raises(NonFiniteLogitError, match="outside"):
-            MortalitySurface(ages=[60, 61], years=[2000], q=[[np.nan, 0.02]],
-                             y=[[-3.0, logit(0.02)]])
+            MortalitySurface(ages=[60, 61], years=[2000], q=[[np.nan, 0.02]])
 
 
 class TestSplit:

@@ -154,8 +154,7 @@ def test_no_dense_V_on_the_hot_path(rng, tmp_path, monkeypatch):
     load_fit(tmp_path / "fit.json")
 
     grid = unstack_vector(y, d.n_train, d.n_ages)
-    surface = MortalitySurface(ages=d.ages, years=d.train_years,
-                               q=inverse_logit(grid), y=grid)
+    surface = MortalitySurface(ages=d.ages, years=d.train_years, q=inverse_logit(grid))
     plan = BacktestPlan(ages=(60, 65), horizons=(2,), windows=1,
                         models=("mixed",), restarts=1, workers=1)
     report = run_backtest(plan, surface)
