@@ -45,13 +45,17 @@ from .data import (
     split_train_test,
     window_counts,
 )
-from .design import assemble_V, build_design
+from .design import build_design
 from .forecasts import normal_quantile
 from .mixed import MixedFit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NONCONVERGENCE = 2
+
+#: settings that saved configs may still hold, each at the one value that
+#: today's code reproduces; a config holding any other value cannot rerun
+RETIRED_SETTINGS = {"synth_exposure": cbd_mod.SYNTH_EXPOSURE, "dump_matrices": False}
 
 
 @dataclass
@@ -78,7 +82,6 @@ class RunConfig:
     label: str = "dataset"
     clamp_q: float | None = None
     rw_divisor: str = "n"
-    dump_matrices: bool = False
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -88,11 +91,11 @@ class RunConfig:
         doc = json.loads(text)
         if not isinstance(doc, dict) or "command" not in doc:
             raise UsageError("a run config is a JSON object with a 'command' key")
-        # saved when it was a setting; only today's constant reproduces the run
-        exposure = doc.pop("synth_exposure", cbd_mod.SYNTH_EXPOSURE)
-        if exposure != cbd_mod.SYNTH_EXPOSURE:
-            raise UsageError(f"config synth_exposure {exposure!r} cannot be reproduced: "
-                             f"counts are synthesized at {cbd_mod.SYNTH_EXPOSURE!r}")
+        for key, value in RETIRED_SETTINGS.items():
+            saved = doc.pop(key, value)
+            if saved != value:
+                raise UsageError(f"config {key} {saved!r} cannot be reproduced: "
+                                 f"the setting is retired at {value!r}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:
@@ -159,8 +162,6 @@ def _parser() -> argparse.ArgumentParser:
                    "the --years window is held out)")
     f.add_argument("--restarts", type=int, default=3)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--dump-matrices", action="store_true",
-                   help="also write the mixed model's design and covariances as CSV")
     add_common(f)
 
     fc = sub.add_parser("forecast", help="forecast from a saved fit artifact")
@@ -228,15 +229,7 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
-def _matrix_csv(mat: np.ndarray) -> str:
-    lines = [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(mat)]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_fit(cfg: RunConfig) -> int:
-    if cfg.dump_matrices and cfg.model != "mixed":
-        raise UsageError("--dump-matrices writes the mixed model's matrices; "
-                         f"it takes no --model {cfg.model}")
     surface, counts = _load_surface(cfg)
     if cfg.split_year is not None:
         surface, _ = split_train_test(surface, cfg.split_year)
@@ -257,14 +250,6 @@ def cmd_fit(cfg: RunConfig) -> int:
         ]
         if fit.sigma2_boundary:
             summary.append("warning: sigma2 at its lower boundary")
-        if cfg.dump_matrices:
-            K1, K2, K3 = fit.evaluation.kernels
-            for name, mat in [
-                ("T", design.T), ("Z1", design.Z1), ("Z2", design.Z2),
-                ("Z3", design.Z3), ("K1", K1), ("K2", K2), ("K3", K3),
-                ("V", assemble_V(fit.params, design)),
-            ]:
-                _write(out_dir, f"matrix_{name}.csv", _matrix_csv(mat))
     else:
         D, E = counts or cbd_mod.synthesize_counts(surface.q)
         k = surface.n_years  # counts span the whole --years window

@@ -1,11 +1,14 @@
-"""Design matrices and squared-exponential covariance construction.
+"""The stacked design as index vectors, and squared-exponential covariances.
 
 Observations are stacked age-major: all years for the first age, then all
 years for the second age, and so on. For each grid cell the fixed-effects
 row is [1, t - t_bar] with t_bar the mean of the *training* years, the
 intercept/slope incidence rows pick the cell's age, and the cohort dummy
 row picks the cell's year of birth t - x. Cohort labels run consecutively
-from years[0] - ages[-1] to years[-1] - ages[0].
+from years[0] - ages[-1] to years[-1] - ages[0]. Each row of Z = [Z1 Z2 Z3]
+has three nonzeros: 1 at its age, tau = t - t_bar at its age and 1 at its
+cohort, so a design stores the row's age, cohort column and tau, and every
+product with Z is a gather or a scatter-add.
 """
 
 from __future__ import annotations
@@ -68,21 +71,23 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class DesignSet:
-    """Design matrices tying stacked observations to fixed and random effects.
+    """Index vectors tying stacked observations to fixed and random effects.
 
     With n training years, m ages and forecast horizon h, the stacked system
-    has N = (n + h) * m rows in age-major order. ``T`` is N x 2, ``Z1`` and
-    ``Z2`` are N x m, ``Z3`` is N x (n + h + m - 1) over ``cohort_index``.
+    has N = (n + h) * m rows in age-major order. Row r's cell sits at age
+    column ``row_age[r]``, cohort column ``row_cohort[r]`` of
+    ``cohort_index`` (n + h + m - 1 labels) and centred time ``tau[r]``, so
+    Z1[r] is 1 at ``row_age[r]``, Z2[r] is ``tau[r]`` there and Z3[r] is 1 at
+    ``row_cohort[r]``. ``T``, N x 2, is derived as [1, tau].
     """
 
     ages: np.ndarray
     train_years: np.ndarray
     horizon: int
     t_bar: float
-    T: np.ndarray
-    Z1: np.ndarray
-    Z2: np.ndarray
-    Z3: np.ndarray
+    row_age: np.ndarray
+    row_cohort: np.ndarray
+    tau: np.ndarray
     cohort_index: np.ndarray
 
     @property
@@ -92,6 +97,11 @@ class DesignSet:
     @property
     def n_ages(self) -> int:
         return self.ages.size
+
+    @property
+    def T(self) -> np.ndarray:
+        """Fixed-effects design, rows [1, tau]."""
+        return np.column_stack([np.ones(self.tau.size), self.tau])
 
 
 def build_design(ages, train_years, horizon: int = 0) -> DesignSet:
@@ -104,42 +114,26 @@ def build_design(ages, train_years, horizon: int = 0) -> DesignSet:
         0 gives the training design. h > 0 appends rows for h further years
         to every age block and widens the cohort axis accordingly; the time
         centering t_bar stays the training-year mean.
+
+    The design holds each row's age column, cohort column and tau (see
+    :class:`DesignSet`); no N x q matrix is formed.
     """
     ages = consecutive_axis(ages, "ages")
     train_years = consecutive_axis(train_years, "train_years")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
 
-    m = ages.size
     t_bar = float(train_years.mean())
     years = np.arange(train_years[0], train_years[-1] + horizon + 1)
-    n_all = years.size
-    N = n_all * m
-
     cohort_index = cohort_labels(ages, years)
-
-    row_age = np.repeat(np.arange(m), n_all)
-    row_cohort = cohort_cols(ages, years, cohort_index).T.ravel()
-    tau = np.tile(years - t_bar, m)
-
-    T = np.column_stack([np.ones(N), tau])
-    rows = np.arange(N)
-    Z1 = np.zeros((N, m))
-    Z1[rows, row_age] = 1.0
-    Z2 = np.zeros((N, m))
-    Z2[rows, row_age] = tau
-    Z3 = np.zeros((N, cohort_index.size))
-    Z3[rows, row_cohort] = 1.0
-
     return DesignSet(
         ages=ages,
         train_years=train_years,
         horizon=int(horizon),
         t_bar=t_bar,
-        T=T,
-        Z1=Z1,
-        Z2=Z2,
-        Z3=Z3,
+        row_age=np.repeat(np.arange(ages.size), years.size),
+        row_cohort=cohort_cols(ages, years, cohort_index).T.ravel(),
+        tau=np.tile(years - t_bar, ages.size),
         cohort_index=cohort_index,
     )
 
@@ -190,17 +184,18 @@ def build_forecast_covariances(
 def assemble_V(params: KernelParams, design: DesignSet) -> np.ndarray:
     """Marginal covariance V = Z1 K1 Z1' + Z2 K2 Z2' + Z3 K3 Z3' + sigma2 I.
 
-    Built from the definition, for ``--dump-matrices`` and dense checks; the
-    likelihood engine never forms V. The returned matrix is exact (no
-    jitter); positive definiteness is verified via the shared jitter policy
-    (a jittered check is logged) and failure raises ``FactorizationError``.
+    Gathered from the kernels at each row pair's ages and cohorts, for
+    dense checks and timings; the likelihood engine never forms V. The
+    returned matrix is exact (no jitter); positive definiteness is verified
+    via the shared jitter policy (a jittered check is logged) and failure
+    raises ``FactorizationError``.
     """
     if design.horizon != 0:
         raise ValueError("assemble_V expects a training design (horizon 0)")
     K1, K2, K3 = build_covariances(params, design)
-    V = (design.Z1 @ K1) @ design.Z1.T
-    V += (design.Z2 @ K2) @ design.Z2.T
-    V += (design.Z3 @ K3) @ design.Z3.T
+    a, c, tau = design.row_age, design.row_cohort, design.tau
+    V = K1.take(a, 0).take(a, 1) + (tau[:, None] * K2.take(a, 0)).take(a, 1) * tau
+    V += K3.take(c, 0).take(c, 1)
     V[np.diag_indices_from(V)] += params.sigma2
     cholesky_with_jitter(V)  # validate on a copy; degenerate params fail here
     return V

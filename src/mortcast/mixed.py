@@ -71,8 +71,9 @@ class MixedFit:
     """A marginal-likelihood fit: the model evaluated at the fitted
     hyperparameters and the optimizer's record. ``params``, ``design`` and
     ``y`` are the evaluation's, ``loglik`` is the trace's last value,
-    ``sigma2_boundary`` flags a noise variance below 1e-10 (1 + var y), and
-    ``fixed`` and ``random`` are its posterior, computed on first read."""
+    ``sigma2_boundary`` flags a noise variance below 1e-10 (1 + var y), which
+    :func:`fit` never calls ``converged``, and ``fixed`` and ``random`` are
+    its posterior, computed on first read."""
 
     evaluation: _Evaluation
     loglik_trace: np.ndarray
@@ -105,7 +106,7 @@ def unstack_vector(vec: np.ndarray, n_years: int, n_ages: int) -> np.ndarray:
 
 def _as_stacked(y, design: DesignSet) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    N = design.T.shape[0]
+    N = design.tau.size
     if y.ndim == 2:
         if y.shape != (design.n_train + design.horizon, design.n_ages):
             raise ValueError(
@@ -120,24 +121,36 @@ def _as_stacked(y, design: DesignSet) -> np.ndarray:
 
 class _Projection:
     """Z = [Z1 Z2 Z3] = U R and y (grid or stacked) on range(Z), formed once
-    per (y, design).
+    per (y, design) from the q x q Gram Z'Z; U (N x k) is never formed.
 
-    U (N x k) is an orthonormal basis of range(Z) from a thin SVD, dropping
-    singular values below s_max * max(N, q) * eps (Z1 1 = Z3 1, so k < q).
-    Kept: R (k x q), U'y and |y - U U'y|^2, the latter taken in N-space.
-    T = Z M, with M summing the Z1 block (intercept) and the Z2 block
-    (slope), so U'T = R M and T has no part outside range(Z).
+    Z'Z = Q diag(lam) Q' by ``eigh``, keeping the eigenvalues above
+    lam_max * q * eps. Z has two null directions, Z1 1 = Z3 1 and
+    Z2 1 = Z3 c + Z1 a - t_bar Z1 1 (c and a the cohort and age labels), so
+    k = min(N, q - 2). With U = Z Q lam^-1/2, kept are R = lam^1/2 Q' (k x q),
+    U'y = lam^-1/2 Q'Z'y and |y - U U'y|^2, the latter taken in N-space as
+    y - Z Q lam^-1 Q'Z'y. T = Z M, with M summing the Z1 block (intercept)
+    and the Z2 block (slope), so U'T = R M and T has no part outside range(Z).
     """
 
     def __init__(self, y, design: DesignSet):
         self.y = y = _as_stacked(y, design)
-        self.design = design
-        Z = np.hstack([design.Z1, design.Z2, design.Z3])
-        U, s, Vt = np.linalg.svd(Z, full_matrices=False)
-        k = int(np.sum(s > s[0] * max(Z.shape) * np.finfo(float).eps))
-        self.R = s[:k, None] * Vt[:k]
-        self.Uy = U[:, :k].T @ y
-        self.perp2 = float(np.sum((y - U[:, :k] @ self.Uy) ** 2))
+        self.design = d = design
+        m = d.n_ages
+        q = 2 * m + d.cohort_index.size
+        # the three nonzeros of each row: their columns and values
+        cols = np.column_stack([d.row_age, m + d.row_age, 2 * m + d.row_cohort])
+        vals = np.column_stack([np.ones(y.size), d.tau, np.ones(y.size)])
+        ZtZ = np.bincount((cols[:, :, None] * q + cols[:, None, :]).ravel(),
+                          (vals[:, :, None] * vals[:, None, :]).ravel(), q * q)
+        lam, Q = np.linalg.eigh(ZtZ.reshape(q, q))
+        keep = lam > lam[-1] * q * np.finfo(float).eps
+        lam, Q = lam[keep], Q[:, keep]
+        Qy = Q.T @ np.bincount(cols.ravel(), (vals * y[:, None]).ravel(), q)
+        self.R = np.sqrt(lam)[:, None] * Q.T
+        self.Uy = Qy / np.sqrt(lam)
+        v = Q @ (Qy / lam)
+        self.perp2 = float(np.sum((y - v[cols[:, 0]] - d.tau * v[cols[:, 1]]
+                                   - v[cols[:, 2]]) ** 2))
 
 
 def _forward_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -433,6 +446,10 @@ def fit(
     free : optional boolean mask over [h1, l1, h2, l2, c, s, sigma2]
         restricting which log parameters the optimizer moves
 
+    The best restart is ``converged`` only if its ascent met the stop rule
+    away from the sigma2 boundary: at the boundary the likelihood grows
+    without bound, so no optimum exists.
+
     Raises
     ------
     FactorizationError
@@ -463,7 +480,7 @@ def fit(
         raise FactorizationError(
             "all restarts failed: " + "; ".join(failures)
         )
-    return best
+    return replace(best, converged=best.converged and not best.sigma2_boundary)
 
 
 def _posterior(ev: _Evaluation, horizon: int = 0):
@@ -571,6 +588,6 @@ def simulate(design: DesignSet, params: KernelParams, beta, rng) -> np.ndarray:
     """
     beta = np.asarray(beta, dtype=float)
     g1, g2, g3 = (_sample_psd(K, rng) for K in build_covariances(params, design))
-    N = design.T.shape[0]
-    eps = math.sqrt(params.sigma2) * rng.standard_normal(N)
-    return design.T @ beta + design.Z1 @ g1 + design.Z2 @ g2 + design.Z3 @ g3 + eps
+    a, tau = design.row_age, design.tau
+    eps = math.sqrt(params.sigma2) * rng.standard_normal(tau.size)
+    return design.T @ beta + g1[a] + tau * g2[a] + g3[design.row_cohort] + eps

@@ -19,12 +19,41 @@ from mortcast.design import (
 )
 
 
+def dense_design(design):
+    """(T, Z1, Z2, Z3) written out row by row from the design's ages,
+    training years and horizon alone: rows age-major over the training years
+    extended by the horizon, time centred on the training mean, one cohort
+    column per birth year from the oldest age's first year on."""
+    ages, train = np.asarray(design.ages), np.asarray(design.train_years)
+    years = np.arange(train[0], train[-1] + design.horizon + 1)
+    first_cohort = years[0] - ages[-1]
+    N, n_coh = ages.size * years.size, years[-1] - ages[0] - first_cohort + 1
+    T, Z1, Z2, Z3 = (np.zeros((N, k)) for k in (2, ages.size, ages.size, n_coh))
+    rows = ((i, x, t) for i, x in enumerate(ages) for t in years)
+    for r, (i, x, t) in enumerate(rows):
+        tau = t - train.mean()
+        T[r] = 1.0, tau
+        Z1[r, i] = 1.0
+        Z2[r, i] = tau
+        Z3[r, t - x - first_cohort] = 1.0
+    return T, Z1, Z2, Z3
+
+
+def dense_V(params, design):
+    """Z1 K1 Z1' + Z2 K2 Z2' + Z3 K3 Z3' + sigma2 I by dense products."""
+    _, Z1, Z2, Z3 = dense_design(design)
+    K1, K2, K3 = build_covariances(params, design)
+    V = Z1 @ K1 @ Z1.T + Z2 @ K2 @ Z2.T + Z3 @ K3 @ Z3.T
+    return V + params.sigma2 * np.eye(V.shape[0])
+
+
 def entrywise_V(params, design):
     """Sum of the three sandwich products computed cell by cell."""
     K1, K2, K3 = build_covariances(params, design)
-    N = design.T.shape[0]
+    _, *Zs = dense_design(design)
+    N = Zs[0].shape[0]
     V = np.zeros((N, N))
-    for Z, K in ((design.Z1, K1), (design.Z2, K2), (design.Z3, K3)):
+    for Z, K in zip(Zs, (K1, K2, K3)):
         for r in range(N):
             for c in range(N):
                 acc = 0.0
@@ -38,10 +67,8 @@ def entrywise_V(params, design):
 
 def dense_loglik(y, beta, params, design):
     """Gaussian log-density via an explicit matrix inverse and determinant."""
-    from mortcast.design import assemble_V
-
-    V = assemble_V(params, design)
-    r = np.asarray(y, float) - design.T @ np.asarray(beta, float)
+    V = dense_V(params, design)
+    r = np.asarray(y, float) - dense_design(design)[0] @ np.asarray(beta, float)
     sign, logdet = np.linalg.slogdet(V)
     assert sign > 0
     quad = r @ np.linalg.inv(V) @ r
@@ -50,11 +77,8 @@ def dense_loglik(y, beta, params, design):
 
 def dense_gls(y, params, design):
     """beta-hat via explicit inverses."""
-    from mortcast.design import assemble_V
-
-    V = assemble_V(params, design)
-    Vinv = np.linalg.inv(V)
-    T = design.T
+    Vinv = np.linalg.inv(dense_V(params, design))
+    T = dense_design(design)[0]
     return np.linalg.inv(T.T @ Vinv @ T) @ (T.T @ Vinv @ np.asarray(y, float))
 
 
@@ -91,9 +115,8 @@ def joint_conditioning(y, beta, params, design, horizon=0):
     else:
         K3_cross, K3_self = K3, K3
 
-    Z1, Z2, Z3, T = design.Z1, design.Z2, design.Z3, design.T
-    V = Z1 @ K1 @ Z1.T + Z2 @ K2 @ Z2.T + Z3 @ K3 @ Z3.T
-    V += params.sigma2 * np.eye(V.shape[0])
+    T, Z1, Z2, Z3 = dense_design(design)
+    V = dense_V(params, design)
     cov_gy = np.vstack([K1 @ Z1.T, K2 @ Z2.T, K3_cross @ Z3.T])
     cov_gg = scipy.linalg.block_diag(K1, K2, K3_self)
 
@@ -129,16 +152,17 @@ def universal_kriging(y, params, design, horizon):
     """
     dh = build_design(design.ages, design.train_years, horizon)
     K1, K2, K3 = build_covariances(params, dh)
-    C = dh.Z1 @ K1 @ dh.Z1.T + dh.Z2 @ K2 @ dh.Z2.T + dh.Z3 @ K3 @ dh.Z3.T
+    Th, Z1, Z2, Z3 = dense_design(dh)
+    C = Z1 @ K1 @ Z1.T + Z2 @ K2 @ Z2.T + Z3 @ K3 @ Z3.T
     # rows are stacked age-major: each age's block starts with the training years
     train = np.tile(np.arange(design.n_train + horizon) < design.n_train, design.n_ages)
-    y, T, Kx = np.asarray(y, float), dh.T[train], C[train]
+    y, T, Kx = np.asarray(y, float), Th[train], C[train]
     Vinv = np.linalg.inv(C[np.ix_(train, train)] + params.sigma2 * np.eye(T.shape[0]))
     VKx = Vinv @ Kx
     cov_beta = np.linalg.inv(T.T @ Vinv @ T)
     beta = cov_beta @ T.T @ Vinv @ y
-    mean = dh.T @ beta + VKx.T @ (y - T @ beta)
-    r = dh.T.T - T.T @ VKx
+    mean = Th @ beta + VKx.T @ (y - T @ beta)
+    r = Th.T - T.T @ VKx
     var = np.diag(C) - np.sum(Kx * VKx, axis=0) + np.sum(r * (cov_beta @ r), axis=0)
     return mean, var + params.sigma2
 

@@ -157,28 +157,6 @@ class TestFitCommand:
         doc = json.loads((out / "fit.json").read_text())
         assert doc["window"]["years"] == [1990, 2005]
 
-    def test_dump_matrices_flag(self, data_csv, tmp_path):
-        out = tmp_path / "run"
-        code = run_cli(
-            "fit", "--input", data_csv, "--format", "csv", "--ages", "60:63",
-            "--years", "1990:2000", "--restarts", "1", "--dump-matrices",
-            "--out", out,
-        )
-        assert code == EXIT_OK
-        for name in ("T", "Z1", "Z2", "Z3", "K1", "K2", "K3", "V"):
-            assert (out / f"matrix_{name}.csv").exists()
-        Z3 = np.loadtxt(out / "matrix_Z3.csv", delimiter=",")
-        assert Z3.shape == (11 * 4, 11 + 4 - 1)
-
-    def test_dump_matrices_is_mixed_only(self, data_csv, tmp_path, capsys):
-        code = run_cli(
-            "fit", "--model", "cbd", "--input", data_csv, "--ages", "60:63",
-            "--years", "1990:2000", "--dump-matrices", "--out", tmp_path / "run",
-        )
-        assert code == EXIT_ERROR
-        assert "--dump-matrices" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
     def test_rerun_from_config_is_byte_identical(self, data_csv, tmp_path):
         out = tmp_path / "run"
         run_cli(
@@ -462,6 +440,30 @@ class TestRunConfig:
         capsys.readouterr()
         assert run_cli("fit", "--config", path) == EXIT_ERROR
         assert "synth_exposure 1000.0" in capsys.readouterr().err
+        assert not other.exists()
+
+    def test_dump_matrices_is_gone(self, data_csv, tmp_path, capsys):
+        args = ("--input", data_csv, "--ages", "60:63", "--years", "1990:2000",
+                "--restarts", "1")
+        assert run_cli("fit", *args, "--dump-matrices", "--out", tmp_path / "a") == EXIT_ERROR
+        assert not (tmp_path / "a").exists()
+        out = tmp_path / "b"
+        assert run_cli("fit", *args, "--out", out) == EXIT_OK
+        first = (out / "fit.json").read_bytes()
+        cfg = json.loads((out / "run_config.json").read_text())
+        assert "dump_matrices" not in cfg
+        # a config saved while the flag existed reruns its fit byte for byte
+        (out / "fit.json").unlink()
+        (out / "run_config.json").write_text(json.dumps({**cfg, "dump_matrices": False}))
+        assert run_cli("fit", "--config", out / "run_config.json") == EXIT_OK
+        assert (out / "fit.json").read_bytes() == first
+        # one that asked for the matrices names a run that is gone
+        path = tmp_path / "dump.json"
+        other = tmp_path / "c"
+        path.write_text(json.dumps({**cfg, "out": str(other), "dump_matrices": True}))
+        capsys.readouterr()
+        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert "dump_matrices True" in capsys.readouterr().err
         assert not other.exists()
 
     def test_config_reruns_only_its_own_command(self, fit_dir, tmp_path, capsys):

@@ -41,41 +41,19 @@ class TestBuildDesign:
         d = build_design([1, 2, 3], [1, 2])
         assert d.T.shape == (6, 2)
         np.testing.assert_array_equal(d.cohort_index, [-2, -1, 0, 1])
-        expected_Z3 = np.array(
-            [
-                [0, 0, 1, 0],
-                [0, 0, 0, 1],
-                [0, 1, 0, 0],
-                [0, 0, 1, 0],
-                [1, 0, 0, 0],
-                [0, 1, 0, 0],
-            ],
-            dtype=float,
-        )
-        np.testing.assert_array_equal(d.Z3, expected_Z3)
-        np.testing.assert_array_equal(
-            d.Z1,
-            np.array(
-                [
-                    [1, 0, 0],
-                    [1, 0, 0],
-                    [0, 1, 0],
-                    [0, 1, 0],
-                    [0, 0, 1],
-                    [0, 0, 1],
-                ],
-                dtype=float,
-            ),
-        )
+        # Z3 rows [0010], [0001], [0100], [0010], [1000], [0100]
+        np.testing.assert_array_equal(d.row_cohort, [2, 3, 1, 2, 0, 1])
+        # Z1 rows [100], [100], [010], [010], [001], [001]
+        np.testing.assert_array_equal(d.row_age, [0, 0, 1, 1, 2, 2])
         tau = np.array([-0.5, 0.5])
-        np.testing.assert_allclose(d.T[:, 1], np.tile(tau, 3))
-        np.testing.assert_allclose(d.Z2[:2, 0], tau)
+        np.testing.assert_array_equal(d.tau, np.tile(tau, 3))
+        np.testing.assert_array_equal(d.T, np.column_stack([np.ones(6), d.tau]))
 
     def test_single_cell(self):
         d = build_design([70], [2000])
         np.testing.assert_array_equal(d.T, [[1.0, 0.0]])
-        np.testing.assert_array_equal(d.Z1, [[1.0]])
-        np.testing.assert_array_equal(d.Z3, [[1.0]])
+        np.testing.assert_array_equal(d.row_age, [0])
+        np.testing.assert_array_equal(d.row_cohort, [0])
         assert d.cohort_index.tolist() == [1930]
 
     def test_forecast_extension_axes(self):
@@ -83,43 +61,25 @@ class TestBuildDesign:
         # cohorts 1939..1942; age-60 rows hit 1940, 1941, 1942 and age-61
         # rows hit 1939, 1940, 1941
         d = build_design([60, 61], [2000, 2001], horizon=1)
-        assert d.Z3.shape == (6, 4)
         assert d.cohort_index.tolist() == [1939, 1940, 1941, 1942]
-        expected = np.array(
-            [
-                [0, 1, 0, 0],
-                [0, 0, 1, 0],
-                [0, 0, 0, 1],
-                [1, 0, 0, 0],
-                [0, 1, 0, 0],
-                [0, 0, 1, 0],
-            ],
-            dtype=float,
-        )
-        np.testing.assert_array_equal(d.Z3, expected)
+        np.testing.assert_array_equal(d.row_cohort, [1, 2, 3, 0, 1, 2])
+        np.testing.assert_array_equal(d.row_age, [0, 0, 0, 1, 1, 1])
         # centering stays the training-year mean
         assert d.t_bar == 2000.5
-        np.testing.assert_allclose(d.T[:3, 1], [-0.5, 0.5, 1.5])
+        np.testing.assert_array_equal(d.tau[:3], [-0.5, 0.5, 1.5])
 
     def test_row_invariants(self):
         d = build_design(range(60, 66), range(1990, 2001), horizon=2)
-        # each row of Z1 and Z3 has exactly one 1
-        np.testing.assert_array_equal(d.Z1.sum(axis=1), 1.0)
-        np.testing.assert_array_equal(np.count_nonzero(d.Z3, axis=1), 1)
-        # Z2 equals Z1 with the 1 replaced by the centered time = T[:, 1]
-        np.testing.assert_allclose(d.Z2.sum(axis=1), d.T[:, 1])
-        np.testing.assert_array_equal((d.Z2 != 0) | (d.T[:, 1][:, None] == 0),
-                                      (d.Z1 != 0) | (d.T[:, 1][:, None] == 0))
+        # age-major: each age owns one block of n + h consecutive rows
+        np.testing.assert_array_equal(d.row_age, np.repeat(np.arange(6), 13))
+        # the slope row is the centred time, T's second column
+        np.testing.assert_array_equal(d.T[:, 1], d.tau)
         # cohort label of each row is year - age
-        row_age = d.Z1.argmax(axis=1)
-        row_cohort = d.Z3.argmax(axis=1)
-        labels = d.cohort_index[row_cohort]
-        np.testing.assert_array_equal(
-            labels, d.T[:, 1] + d.t_bar - d.ages[row_age]
-        )
-        # column sums of Z3 count the cells sharing each cohort
-        counts = np.bincount(row_cohort, minlength=d.cohort_index.size)
-        np.testing.assert_array_equal(d.Z3.sum(axis=0), counts)
+        labels = d.cohort_index[d.row_cohort]
+        np.testing.assert_array_equal(labels, d.tau + d.t_bar - d.ages[d.row_age])
+        # every cohort column is some cell's cohort
+        counts = np.bincount(d.row_cohort, minlength=d.cohort_index.size)
+        assert counts.size == d.cohort_index.size and np.all(counts > 0)
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):

@@ -7,13 +7,20 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import dense_gls, dense_loglik, joint_conditioning, universal_kriging
+from oracles import (
+    dense_design,
+    dense_gls,
+    dense_loglik,
+    dense_V,
+    joint_conditioning,
+    universal_kriging,
+)
 
 import mortcast.design as design_mod
 from mortcast.artifacts import load_fit, save_fit
 from mortcast.backtest import BacktestPlan, run_backtest
 from mortcast.data import MortalitySurface, inverse_logit
-from mortcast.design import KernelParams, assemble_V, build_covariances, build_design
+from mortcast.design import KernelParams, build_covariances, build_design
 from mortcast.mixed import (
     blup,
     extended_random_effects,
@@ -56,12 +63,13 @@ RTOL_DEFAULT = 1e-8
 def dense_gradient(y, beta, params, design):
     """-1/2 tr(V^-1 dV) + 1/2 a' dV a per parameter, with a = V^-1 r, from an
     explicit inverse and dense dV = Z dK Z'."""
-    Vinv = np.linalg.inv(assemble_V(params, design))
-    a = Vinv @ (y - design.T @ beta)
+    T, Z1, Z2, Z3 = dense_design(design)
+    Vinv = np.linalg.inv(dense_V(params, design))
+    a = Vinv @ (y - T @ beta)
     p = params
-    pairs = ((design.Z1, design.ages, p.h1, p.l1),
-             (design.Z2, design.ages, p.h2, p.l2),
-             (design.Z3, design.cohort_index, p.c, p.s))
+    pairs = ((Z1, design.ages, p.h1, p.l1),
+             (Z2, design.ages, p.h2, p.l2),
+             (Z3, design.cohort_index, p.c, p.s))
     g = np.empty(7)
     for slot, ((Z, labels, amp, length), K) in enumerate(
             zip(pairs, build_covariances(params, design))):
@@ -77,9 +85,9 @@ def dense_forecast(y, beta, params, design, horizon):
     """Forecast mean by joint conditioning on the extended design, and the
     per-cell predictive variance by dense universal kriging."""
     oracle = joint_conditioning(y, beta, params, design, horizon=horizon)
-    dh = build_design(design.ages, design.train_years, horizon)
-    mean = (dh.T @ beta + dh.Z1 @ oracle["gamma1"] + dh.Z2 @ oracle["gamma2"]
-            + dh.Z3 @ oracle["gamma3"])
+    T, Z1, Z2, Z3 = dense_design(build_design(design.ages, design.train_years, horizon))
+    mean = (T @ beta + Z1 @ oracle["gamma1"] + Z2 @ oracle["gamma2"]
+            + Z3 @ oracle["gamma3"])
     return mean, universal_kriging(y, params, design, horizon)[1], oracle
 
 
@@ -146,7 +154,7 @@ def test_no_dense_V_on_the_hot_path(rng, tmp_path, monkeypatch):
     d = build_design(range(60, 66), range(1990, 2010))
     true = KernelParams(**BASE)
     y = simulate(d, true, [-3.0, -0.03], rng)
-    q = d.Z1.shape[1] + d.Z2.shape[1] + d.Z3.shape[1]
+    q = 2 * d.n_ages + d.cohort_index.size
     f = fit(y, d, restarts=1)
     forecast(f, 5)
     blup(y, f)
@@ -159,5 +167,5 @@ def test_no_dense_V_on_the_hot_path(rng, tmp_path, monkeypatch):
                         models=("mixed",), restarts=1, workers=1)
     report = run_backtest(plan, surface)
     assert not any(r.failed for r in report.results)
-    # Z1 1 = Z3 1, so the projected matrix has at most q - 1 rows
-    assert sizes and max(sizes) < q < y.size
+    # Z has two null directions, so the projected matrix has q - 2 rows
+    assert sizes and max(sizes) == q - 2 < y.size

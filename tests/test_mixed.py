@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    dense_design,
     dense_gls,
     dense_loglik,
     fd_gradient,
@@ -141,6 +142,13 @@ class TestFit:
         np.testing.assert_allclose(f.fixed.beta, beta, atol=1e-8)
         assert f.sigma2_boundary
 
+    def test_boundary_fit_is_never_converged(self):
+        # the ascent's stop rule fires on this input, yet sigma2 went to its
+        # boundary: no optimum exists, so the fit must not call itself one
+        d = build_design(range(60, 63), range(2000, 2008))
+        f = fit(d.T @ np.array([-2.5, -0.03]), d, restarts=1)
+        assert f.sigma2_boundary and not f.converged
+
     def test_trace_monotone_and_convergence_flag(self, rng):
         d = build_design(range(60, 65), range(1990, 2006))
         true = KernelParams(h1=0.3, l1=12.0, h2=0.04, l2=12.0, c=0.2, s=25.0,
@@ -246,11 +254,12 @@ class TestFittedSurface:
         y = rng.normal(size=12)
         f = pinned_fit(y, d, p)
         oracle = joint_conditioning(y, f.fixed.beta, p, d)
+        T, Z1, Z2, Z3 = dense_design(d)
         expected = (
-            d.T @ f.fixed.beta
-            + d.Z1 @ oracle["gamma1"]
-            + d.Z2 @ oracle["gamma2"]
-            + d.Z3 @ oracle["gamma3"]
+            T @ f.fixed.beta
+            + Z1 @ oracle["gamma1"]
+            + Z2 @ oracle["gamma2"]
+            + Z3 @ oracle["gamma3"]
         )
         mean, var = fitted_surface(f)
         np.testing.assert_allclose(stack_grid(mean), expected, atol=1e-10)
@@ -276,12 +285,12 @@ class TestForecast:
         np.testing.assert_allclose(ext.gamma3, oracle["gamma3"], atol=1e-8)
         np.testing.assert_allclose(ext.cov3, oracle["cov3"], atol=1e-8)
 
-        dh = build_design(d.ages, d.train_years, h)
+        T, Z1, Z2, Z3 = dense_design(build_design(d.ages, d.train_years, h))
         expected_mean = (
-            dh.T @ f.fixed.beta
-            + dh.Z1 @ oracle["gamma1"]
-            + dh.Z2 @ oracle["gamma2"]
-            + dh.Z3 @ oracle["gamma3"]
+            T @ f.fixed.beta
+            + Z1 @ oracle["gamma1"]
+            + Z2 @ oracle["gamma2"]
+            + Z3 @ oracle["gamma3"]
         )
         mean = np.vstack([fitted_surface(f)[0], forecast(f, h).mean])
         np.testing.assert_allclose(stack_grid(mean), expected_mean, atol=1e-8)
@@ -405,6 +414,27 @@ class TestProperties:
         y = simulate(d, random_params(rng), [-3.0, -0.02], rng)
         p0 = default_init(y, d)
         assert np.all(p0.as_array() > 0)
+
+
+@pytest.mark.parametrize("ages, years", [
+    ([70], range(1990, 2002)),
+    ([70, 71], range(1990, 2000)),
+    (range(60, 68), [2000, 2001]),
+    ([60, 61, 62], [2000]),
+    (range(60, 90), range(1940, 2010)),
+    (range(0, 100), range(1900, 2000)),
+], ids=["1x12", "2x10", "8x2", "3x1", "30x70", "100x100"])
+def test_projection_rank(ages, years):
+    # beyond those of a grid with fewer cells than columns, Z's only null
+    # directions are Z1 1 = Z3 1 and Z2 1 = Z3 c + Z1 a - t_bar Z1 1: the
+    # projection keeps min(N, q - 2) of its q columns
+    import mortcast.mixed as mixed_mod
+
+    d = build_design(ages, years)
+    N, q = d.tau.size, 2 * d.n_ages + d.cohort_index.size
+    k = mixed_mod._Projection(np.zeros(N), d).R.shape[0]
+    assert k == min(N, q - 2)
+    assert k == np.linalg.matrix_rank(np.hstack(dense_design(d)[1:]))
 
 
 class TestOneFactorization:
@@ -552,7 +582,7 @@ class TestJitteredTrialsRejected:
         # the line search if they were not rejected
         d = build_design(range(60, 65), range(1995, 2015))
         cohort_effect = 0.05 * np.sin(d.cohort_index / 5.0)
-        f = fit(d.T @ np.array([-2.5, -0.06]) + d.Z3 @ cohort_effect, d, restarts=1)
+        f = fit(d.T @ np.array([-2.5, -0.06]) + cohort_effect[d.row_cohort], d, restarts=1)
         self.assert_trace_is_clean(f, evaluations)
 
     def test_every_other_factorization_jittered(self, rng, evaluations, monkeypatch):
