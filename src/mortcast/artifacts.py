@@ -128,6 +128,11 @@ def load_fit(path) -> MixedFit | CbdFit:
         raise ValueError(f"unknown or missing model tag {model!r}")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"fit artifact schema_version {doc['schema_version']!r} is not 1")
-    ages, years = (np.arange(int(lo), int(hi) + 1) for lo, hi in
-                   (doc["window"]["ages"], doc["window"]["years"]))
+    window = doc["window"]
+    try:
+        ages, years = (np.arange(int(lo), int(hi) + 1) for lo, hi in
+                       (window["ages"], window["years"]))
+    except TypeError:
+        raise ValueError(f"fit artifact window {window!r} is not "
+                         "{'ages': [lo, hi], 'years': [lo, hi]}") from None
     return (_dict_to_mixed if model == "mixed" else _dict_to_cbd)(doc, ages, years)

@@ -3,10 +3,12 @@
 The model puts logit(q_{x,t}) = kappa1_t + kappa2_t * (x - x_bar) +
 gamma3_{t-x}. Death counts are Poisson with mean E * m(eta) where
 m(eta) = log(1 + exp(eta)), and the parameters are estimated by blockwise
-Newton ascent of the Poisson log-likelihood. The cohort series is pinned
+Newton ascent of the Poisson log-likelihood; each point of a sweep takes
+one exp per cell for both m and the logistic. The cohort series is pinned
 down by the two identifiability constraints sum(gamma) = 0 and
 sum((t-x) * gamma) = 0 over the fitted cohort set, re-imposed after every
-sweep through the likelihood-invariant reparameterization.
+sweep through the likelihood-invariant reparameterization, whose
+regression on (1, cohort) is formed once per fit.
 
 Forecasting is the classical two-step approach: a bivariate random walk
 with drift for (kappa1, kappa2) and a univariate one for the cohort
@@ -26,7 +28,6 @@ from .data import (
     cohort_cols,
     cohort_labels,
     initial_to_central,
-    inverse_logit,
     logit,
 )
 from .forecasts import Forecast
@@ -99,9 +100,7 @@ def death_rate(eta) -> np.ndarray:
     return np.logaddexp(0.0, eta)
 
 
-def cbd_poisson_loglik(
-    kappa1, kappa2, gamma3, ages, years, D, E, weights=None
-) -> float:
+def cbd_poisson_loglik(kappa1, kappa2, gamma3, ages, years, D, E, weights=None) -> float:
     """Poisson log-likelihood sum of D log(E m) - E m - log(D!).
 
     ``weights`` (0/1 per cell) drops cells of excluded cohorts; log(D!) is
@@ -153,53 +152,31 @@ def transform_parameters(kappa1, kappa2, gamma3, phi1, phi2, ages, years):
     return k1, k2, g3
 
 
-def _cell_terms(eta, D, E):
-    """The cells' ``death_rate`` m and the per-cell first/second
-    derivatives of the Poisson LL wrt eta, all from one evaluation of m.
+def _cell_terms(eta, wD, wE):
+    """The cells' rate m = log(1 + exp(eta)) and the first and second
+    derivatives U, H of the Poisson LL wrt eta, from one exp per cell.
 
-    U = D sigma/m - E sigma, H = D sigma'/m - E sigma' - D (sigma/m)^2;
-    the ratios tend to 1 as eta -> -inf, substituted directly below the
-    underflow point. H < 0 everywhere, so Newton steps are well defined.
-    Returns (m, U, H); m is what :func:`_poisson_loglik` reads.
+    With z = exp(-|eta|) in (0, 1], m = max(eta, 0) + log1p(z) (within 2 ulp
+    of ``death_rate``) and the logistic sigma = where(eta >= 0, 1, z) / (1 + z)
+    (bit-equal to ``inverse_logit``). With r1 = sigma/m,
+    U = wD r1 - wE sigma and H = (1 - sigma) U - wD r1^2, which is
+    D sigma'/m - E sigma' - D (sigma/m)^2 as sigma' = sigma (1 - sigma). r1
+    tends to 1 as eta -> -inf and is substituted below eta = -30, ahead of
+    the underflow of m. H < 0 in exact arithmetic, so Newton steps are well
+    defined; far below eta = -30 it can round to 0. The counts come
+    weighted, so U and H are 0 off the fitted cohorts. Returns (m, U, H);
+    m is what :func:`_poisson_loglik` reads.
     """
-    rate = death_rate(eta)
-    m = np.maximum(rate, 1e-300)
-    sig = inverse_logit(eta)
-    dsig = sig * (1.0 - sig)
-    low = eta < -30.0
-    r1 = np.where(low, 1.0, sig / m)
-    r2 = np.where(low, 1.0, dsig / m)
-    U = D * r1 - E * sig
-    H = D * r2 - E * dsig - D * r1**2
+    z = np.exp(-np.abs(eta))
+    rate = np.maximum(eta, 0.0) + np.log1p(z)
+    sig = np.where(eta >= 0, 1.0, z) / (1.0 + z)
+    r1 = np.where(eta < -30.0, 1.0, sig / np.maximum(rate, 1e-300))
+    U = wD * r1 - wE * sig
+    H = (1.0 - sig) * U - wD * r1**2
     return rate, U, H
 
 
-def _initial_curves(D, E, w):
-    m_hat = np.clip(D / E, 1e-10, None)
-    q_hat = np.clip(central_to_initial(m_hat), 1e-12, 1.0 - 1e-12)
-    y_hat = logit(q_hat)
-    kappa1 = y_hat.mean(axis=1)
-    kappa2 = (y_hat * w).sum(axis=1) / float(w @ w)
-    return kappa1, kappa2
-
-
-def _apply_constraints(kappa1, kappa2, gamma3, included, cohorts, ages, years):
-    """Regress gamma on (1, cohort) over the fitted set and absorb the line
-    into the kappa curves by :func:`transform_parameters`; excluded cohorts
-    stay at 0. Returns the new (kappa1, kappa2, gamma3)."""
-    X = np.column_stack([np.ones(int(included.sum())), cohorts[included]])
-    phi, *_ = np.linalg.lstsq(X, gamma3[included], rcond=None)
-    k1, k2, g3 = transform_parameters(kappa1, kappa2, gamma3, phi[0], phi[1], ages, years)
-    return k1, k2, np.where(included, g3, 0.0)
-
-
-def fit_cbd(
-    D,
-    E,
-    ages,
-    years,
-    max_sweeps: int = 1000,
-) -> CbdFit:
+def fit_cbd(D, E, ages, years, max_sweeps: int = 1000) -> CbdFit:
     """Maximize the Poisson log-likelihood by blockwise Newton sweeps.
 
     Each sweep takes a joint Newton step on (kappa1_t, kappa2_t) for every
@@ -210,12 +187,14 @@ def fit_cbd(
     zero likelihood weight and their gamma stays 0. A sweep that fails to
     improve the likelihood is retried with halved Newton steps.
 
-    Every point is evaluated by one cell kernel (:func:`_cell_terms`),
-    which takes ``death_rate`` once and returns both what the likelihood
-    check reads and the cell derivatives. An accepted point's terms carry
-    over from its likelihood check into the next sweep's (kappa1, kappa2)
-    step, which damped retries reuse, so each try of a sweep evaluates two
-    points: after the kappa step and after the constraints.
+    Every point is evaluated by one cell kernel (:func:`_cell_terms`, one
+    exp per cell), which returns both what the likelihood check reads and
+    the cell derivatives. An accepted point's terms carry over from its
+    likelihood check into the next sweep's (kappa1, kappa2) step, which
+    damped retries reuse, so each try of a sweep evaluates two points:
+    after the kappa step and after the constraints. The constraint map's
+    regression of gamma on (1, cohort) is a 2 x c pseudo-inverse over the
+    fitted cohorts, formed once per fit.
     """
     ages = np.asarray(ages, dtype=int)
     years = np.asarray(years, dtype=int)
@@ -231,25 +210,32 @@ def fit_cbd(
         )
     w = included[cols].astype(float)
     wD, wE = w * D, w * E
-    xw = ages - float(np.mean(ages))
+    x_bar = float(np.mean(ages))
+    xw = ages - x_bar
     flat_cols = cols.ravel()
+    # the kappa step's row sums as products with [1, x - x_bar, (x - x_bar)^2]
+    X = np.column_stack([np.ones(ages.size), xw, xw**2])
+    # the constraint map of transform_parameters: phi = P gamma[fitted]
+    # regresses gamma on (1, cohort) over the fitted cohorts
+    fitted = np.flatnonzero(included)
+    c_fit = cohorts[fitted].astype(float)
+    P = np.linalg.pinv(np.column_stack([np.ones(fitted.size), c_fit]))
+    t_dev = years - x_bar
 
-    kappa1, kappa2 = _initial_curves(D, E, xw)
+    # start from each year's least-squares line of the empirical logit rates
+    q_hat = np.clip(central_to_initial(np.clip(D / E, 1e-10, None)), 1e-12, 1.0 - 1e-12)
+    y_hat = logit(q_hat)
+    kappa1, kappa2 = y_hat.mean(axis=1), (y_hat * xw).sum(axis=1) / float(xw @ xw)
     gamma3 = np.zeros(cohorts.size)
 
     log_factorials = np.sum(w * _log_factorial(D))
 
     def evaluate(k1, k2, g3):
-        """death_rate and the weighted cell derivatives at one point."""
-        eta = k1[:, None] + k2[:, None] * xw[None, :] + g3[cols]
-        rate, U, H = _cell_terms(eta, wD, wE)
-        return rate, w * U, w * H
-
-    def ll_of(rate):
-        return _poisson_loglik(rate, wD, wE, log_factorials)
+        """The rate and the weighted cell derivatives at one point."""
+        return _cell_terms(k1[:, None] + k2[:, None] * xw + g3[cols], wD, wE)
 
     rate, wU, wH = evaluate(kappa1, kappa2, gamma3)
-    ll = ll_of(rate)
+    ll = _poisson_loglik(rate, wD, wE, log_factorials)
     trace = [ll]
     converged = False
     sweeps = 0
@@ -263,11 +249,8 @@ def fit_cbd(
         # sit at a single age (possible on very narrow grids) leaves the
         # pair unidentified along a ridge; move kappa1 alone there, which
         # fixes the identified combination.
-        g1 = wU.sum(axis=1)
-        g2 = (wU * xw).sum(axis=1)
-        h11 = wH.sum(axis=1)
-        h12 = (wH * xw).sum(axis=1)
-        h22 = (wH * xw**2).sum(axis=1)
+        g1, g2 = (wU @ X[:, :2]).T
+        h11, h12, h22 = (wH @ X).T
         det = h11 * h22 - h12**2
         full_rank = np.abs(det) > 1e-12 * (np.abs(h11 * h22) + 1e-300)
         det_safe = np.where(full_rank, det, 1.0)
@@ -278,15 +261,18 @@ def fit_cbd(
         for _ in range(12):
             k1 = kappa1 + damping * dk1
             k2 = kappa2 + damping * dk2
-            g3 = gamma3.copy()
-            _, tU, tH = evaluate(k1, k2, g3)
+            _, tU, tH = evaluate(k1, k2, gamma3)
             gsum = np.bincount(flat_cols, weights=tU.ravel(), minlength=cohorts.size)
             hsum = np.bincount(flat_cols, weights=tH.ravel(), minlength=cohorts.size)
-            g3[included] += damping * (-gsum[included] / hsum[included])
+            g_fit = gamma3[fitted] + damping * (-gsum[fitted] / hsum[fitted])
 
-            k1, k2, g3 = _apply_constraints(k1, k2, g3, included, cohorts, ages, years)
+            phi1, phi2 = P @ g_fit
+            k1 = k1 + (phi1 + phi2 * t_dev)
+            k2 = k2 - phi2
+            g3 = np.zeros(cohorts.size)
+            g3[fitted] = g_fit - (phi1 + phi2 * c_fit)
             rate, tU, tH = evaluate(k1, k2, g3)
-            ll_new = ll_of(rate)
+            ll_new = _poisson_loglik(rate, wD, wE, log_factorials)
             if np.isfinite(ll_new) and ll_new >= ll - 1e-9:
                 accepted = True
                 break
@@ -301,26 +287,11 @@ def fit_cbd(
             converged = True
             break
 
-    cs = cohorts[included].astype(float)
-    residuals = (
-        float(np.sum(gamma3[included])),
-        float(np.sum(cs * gamma3[included])),
-    )
-    return CbdFit(
-        ages=ages,
-        years=years,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        gamma3=gamma3,
-        cohorts=cohorts,
-        included=included,
-        x_bar=float(np.mean(ages)),
-        loglik=ll,
-        loglik_trace=np.asarray(trace),
-        constraint_residuals=residuals,
-        converged=converged,
-        n_sweeps=sweeps,
-    )
+    residuals = (float(np.sum(gamma3[fitted])), float(np.sum(c_fit * gamma3[fitted])))
+    return CbdFit(ages=ages, years=years, kappa1=kappa1, kappa2=kappa2, gamma3=gamma3,
+                  cohorts=cohorts, included=included, x_bar=x_bar, loglik=ll,
+                  loglik_trace=np.asarray(trace), constraint_residuals=residuals,
+                  converged=converged, n_sweeps=sweeps)
 
 
 def fitted_logit(fit: CbdFit) -> np.ndarray:

@@ -14,6 +14,8 @@ import json
 import os
 import sys
 import time
+import types
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -96,12 +98,30 @@ class RunConfig:
             if saved != value:
                 raise UsageError(f"config {key} {saved!r} cannot be reproduced: "
                                  f"the setting is retired at {value!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
+        known = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(doc) - set(known))
         if unknown:
             raise UsageError(f"unknown config field(s): {unknown}")
         # JSON has no tuples, and the list-valued fields are the tuple ones
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+        doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+        hints = typing.get_type_hints(cls)
+        for key, value in doc.items():
+            if not _typed(value, hints[key]):
+                raise UsageError(f"config {key} {value!r} is not {known[key]}")
+        return cls(**doc)
+
+
+def _typed(value, hint) -> bool:
+    """Whether a config value (JSON lists made tuples) has the field type ``hint``."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_typed(value, a) for a in args)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, tuple):
+            return False
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(value) == len(items) and all(map(_typed, value, items))
+    return type(value) is hint or (hint is float and type(value) is int)
 
 
 def _range(text: str) -> tuple[int, int]:

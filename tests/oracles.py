@@ -11,6 +11,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from mortcast.data import central_to_initial, inverse_logit, logit
 from mortcast.design import (
     build_covariances,
     build_design,
@@ -195,3 +196,92 @@ def tiny_amplitude_params(sigma2, length=10.0):
     eps = 1e-160
     return KernelParams(h1=eps, l1=length, h2=eps, l2=length, c=eps, s=length,
                         sigma2=sigma2)
+
+
+def cbd_sweeps_reference(D, E, ages, years, max_sweeps=1000):
+    """The CBD blockwise Newton sweeps written out plainly: the rate from
+    ``np.logaddexp``, the logistic from ``inverse_logit``, the cell
+    derivatives term by term, the (kappa1, kappa2) step from per-row sums
+    and the cohort constraints re-imposed by a fresh ``lstsq`` each try.
+
+    Same algorithm as ``fit_cbd``: start point, damping, stop rule and
+    cohort exclusion. Returns a dict of the curves, the LL trace,
+    ``converged``, ``n_sweeps`` and ``halvings``, the number of damped
+    retries taken.
+    """
+    from mortcast.cbd import MIN_COHORT_CELLS, TOL
+
+    D, E = np.asarray(D, float), np.asarray(E, float)
+    ages, years = np.asarray(ages, int), np.asarray(years, int)
+    cohorts = np.arange(years[0] - ages[-1], years[-1] - ages[0] + 1)
+    cols = (years[:, None] - ages[None, :]) - cohorts[0]
+    included = np.bincount(cols.ravel(), minlength=cohorts.size) >= MIN_COHORT_CELLS
+    w = included[cols].astype(float)
+    x = ages - ages.mean()
+    log_fact = np.sum(w * np.vectorize(math.lgamma)(D + 1.0))
+    members = {c: np.flatnonzero(cols.ravel() == c) for c in np.flatnonzero(included)}
+
+    def derivatives(k1, k2, g3):
+        eta = k1[:, None] + k2[:, None] * x[None, :] + g3[cols]
+        m = np.logaddexp(0.0, eta)
+        sig = inverse_logit(eta)
+        dsig = sig * (1.0 - sig)
+        low = eta < -30.0
+        r1 = np.where(low, 1.0, sig / np.maximum(m, 1e-300))
+        r2 = np.where(low, 1.0, dsig / np.maximum(m, 1e-300))
+        U = D * r1 - E * sig
+        H = D * r2 - E * dsig - D * r1**2
+        return m, w * U, w * H
+
+    def loglik(m):
+        mu = w * E * m
+        with np.errstate(divide="ignore"):
+            log_mu = np.log(mu, out=np.zeros_like(mu), where=w * D != 0)
+        return float(np.sum(w * D * log_mu - mu) - log_fact)
+
+    q = np.clip(central_to_initial(np.clip(D / E, 1e-10, None)), 1e-12, 1.0 - 1e-12)
+    y = logit(q)
+    kappa1, kappa2 = y.mean(axis=1), (y * x).sum(axis=1) / float(x @ x)
+    gamma3 = np.zeros(cohorts.size)
+    m, U, H = derivatives(kappa1, kappa2, gamma3)
+    ll = loglik(m)
+    trace, converged, sweeps, halvings = [ll], False, 0, 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        g1, g2 = U.sum(axis=1), (U * x).sum(axis=1)
+        h11, h12, h22 = H.sum(axis=1), (H * x).sum(axis=1), (H * x**2).sum(axis=1)
+        det = h11 * h22 - h12**2
+        full = np.abs(det) > 1e-12 * (np.abs(h11 * h22) + 1e-300)
+        safe = np.where(full, det, 1.0)
+        dk1 = np.where(full, -(h22 * g1 - h12 * g2) / safe, -g1 / h11)
+        dk2 = np.where(full, -(h11 * g2 - h12 * g1) / safe, 0.0)
+        damping, accepted = 1.0, False
+        for _ in range(12):
+            k1, k2 = kappa1 + damping * dk1, kappa2 + damping * dk2
+            _, tU, tH = derivatives(k1, k2, gamma3)
+            g3 = gamma3.copy()
+            for c, cells in members.items():
+                g3[c] -= damping * tU.ravel()[cells].sum() / tH.ravel()[cells].sum()
+            X = np.column_stack([np.ones(int(included.sum())), cohorts[included]])
+            phi, *_ = np.linalg.lstsq(X, g3[included], rcond=None)
+            k1 = k1 + (phi[0] + phi[1] * (years - ages.mean()))
+            k2 = k2 - phi[1]
+            g3 = np.where(included, g3 - (phi[0] + phi[1] * cohorts), 0.0)
+            m, tU, tH = derivatives(k1, k2, g3)
+            ll_new = loglik(m)
+            if np.isfinite(ll_new) and ll_new >= ll - 1e-9:
+                accepted = True
+                break
+            damping *= 0.5
+            halvings += 1
+        if not accepted:
+            break
+        kappa1, kappa2, gamma3, U, H = k1, k2, g3, tU, tH
+        dll, ll = ll_new - ll, ll_new
+        trace.append(ll)
+        if abs(dll) <= TOL * (1.0 + abs(ll)):
+            converged = True
+            break
+    return {"kappa1": kappa1, "kappa2": kappa2, "gamma3": gamma3, "loglik": ll,
+            "loglik_trace": np.asarray(trace), "converged": converged,
+            "n_sweeps": sweeps, "halvings": halvings}

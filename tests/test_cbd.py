@@ -20,6 +20,7 @@ from mortcast.cbd import (
     transform_parameters,
 )
 from mortcast.data import cohort_cols, inverse_logit
+from oracles import cbd_sweeps_reference
 
 
 def true_curves(ages, years, cohort_amp=0.05):
@@ -338,6 +339,104 @@ class TestFitCbd:
         ll = cbd_poisson_loglik(f.kappa1, f.kappa2, f.gamma3, ages, years,
                                 D, E, weights=weights)
         assert f.loglik == pytest.approx(ll, rel=1e-12, abs=0.0)
+
+
+class TestCellKernel:
+    """``_cell_terms`` takes one exp per cell for the rate and the logistic."""
+
+    grid = np.linspace(-800.0, 800.0, 400_001)
+
+    def test_rate_within_two_ulp_of_death_rate(self):
+        rate, _, _ = cbd._cell_terms(self.grid, np.ones_like(self.grid), np.ones_like(self.grid))
+        assert np.all(_ulps(rate, death_rate(self.grid)) <= 2)
+
+    def test_logistic_is_inverse_logit_bit_for_bit(self):
+        # with no deaths and unit exposure U = -sigma exactly
+        _, U, _ = cbd._cell_terms(self.grid, np.zeros_like(self.grid), np.ones_like(self.grid))
+        assert np.array_equal(-U, inverse_logit(self.grid))
+
+    @pytest.mark.parametrize("wD, wE", [(3.0, 50.0), (0.0, 50.0), (1e4, 1e5)])
+    def test_far_negative_eta_stays_finite_and_concave(self, wD, wE):
+        # H < 0 in exact arithmetic, about -(wD / 2 + wE) exp(eta) down there;
+        # with deaths it rounds to 0 once exp(eta) is below the rounding of
+        # U ~ wD, as the term-by-term form D sigma'/m - E sigma' - D (sigma/m)^2
+        # does too
+        eta = np.array([-800.0, -745.0, -30.5])
+        D, E = np.full(3, wD), np.full(3, wE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, U, H = cbd._cell_terms(eta, D, E)
+        assert np.all(np.isfinite(U)) and np.all(np.isfinite(H))
+        assert np.all(H <= 0.0) and H[-1] < 0.0
+        if wD == 0.0:
+            assert H[1] < 0.0
+
+
+def _rate_only_backtest_counts():
+    """A CBD population of the benchmark's geometry (70 years x 30 ages,
+    random-walk kappas, exposures falling with age) with Poisson deaths,
+    passed on as rates only: the counts a backtest synthesizes from it."""
+    rng = np.random.default_rng(0)
+    ages, years = np.arange(60, 90), np.arange(1947, 2017)
+    steps = rng.standard_normal((2, years.size - 1))
+    kappa1 = -2.8 + np.cumsum(np.r_[0.0, -0.015 + 0.02 * steps[0]])
+    kappa2 = 0.10 + np.cumsum(np.r_[0.0, 0.0003 + 0.002 * steps[1]])
+    gamma3 = np.cumsum(0.01 * rng.standard_normal(cohort_labels(ages, years).size))
+    E = np.round(1e5 * np.exp(-0.05 * (ages - 60)))[None, :] * np.ones((years.size, 1))
+    eta = linear_predictor(kappa1, kappa2, gamma3, ages, years)
+    m = rng.poisson(E * death_rate(eta)) / E
+    return (ages, years, *synthesize_counts(-np.expm1(-m)))
+
+
+def _sweep_case(name):
+    """(D, E, ages, years) of one grid the sweeps are checked on."""
+    if name in ("a6", "corners", "single-age"):
+        rng, ages, years, amp, exposure = {
+            "a6": (606, np.arange(60, 70), np.arange(1990, 2020), 0.05, 1e5),
+            "corners": (7, np.arange(60, 66), np.arange(2000, 2012), 0.1, 2e3),
+            "single-age": (3, np.arange(60, 63), np.arange(2000, 2016), 0.05, 5e3),
+        }[name]
+        eta = linear_predictor(*true_curves(ages, years, amp), ages, years)
+        E = np.full(eta.shape, exposure)
+        D = np.random.default_rng(rng).poisson(E * death_rate(eta)).astype(float)
+        return D, E, ages, years
+    if name == "damped":  # the grid of test_underflowing_trial_point_warns_nothing
+        rng = np.random.default_rng(0)
+        m, n = int(rng.integers(5, 8)), int(rng.integers(6, 23))
+        ages, years = np.arange(60, 60 + m), np.arange(2000, 2000 + n)
+        E = rng.uniform(5, 200, (n, m))
+        eta = (-3 + 0.1 * (ages - ages.mean())[None, :]
+               - 0.02 * (years - years.mean())[:, None])
+        return rng.poisson(E * death_rate(eta)).astype(float), E, ages, years
+    ages, years, D, E = _rate_only_backtest_counts()
+    k = int(name.removeprefix("backtest-")) - int(years[0]) + 1
+    return D[:k], E[:k], ages, years[:k]
+
+
+class TestSweepsAgainstReference:
+    """``fit_cbd`` takes the same sweeps as the plainly written reference
+    (``np.logaddexp``, ``inverse_logit``, ``lstsq`` constraints, per-row
+    sums): only rounding may differ."""
+
+    @pytest.mark.parametrize("name", [
+        "a6", "corners", "single-age", "damped",
+        *(f"backtest-{end}" for end in (1987, 1993, 1999, 2005, 2011)),
+    ])
+    def test_same_sweeps_as_the_reference(self, name):
+        D, E, ages, years = _sweep_case(name)
+        f = fit_cbd(D, E, ages, years)
+        ref = cbd_sweeps_reference(D, E, ages, years)
+        assert f.n_sweeps == ref["n_sweeps"] and f.n_sweeps > 1
+        assert f.converged == ref["converged"]
+        assert f.loglik_trace.size == ref["loglik_trace"].size
+        for curve in ("kappa1", "kappa2", "gamma3"):
+            np.testing.assert_allclose(getattr(f, curve), ref[curve], rtol=0, atol=1e-12)
+        assert f.loglik == pytest.approx(ref["loglik"], rel=1e-11, abs=0.0)
+        if name == "single-age":  # the kappa1-only step of a year seen at one age
+            weighted = f.included[cohort_cols(ages, years, f.cohorts)]
+            assert np.any(weighted.sum(axis=1) == 1)
+        if name == "damped":
+            assert ref["halvings"] > 0
 
 
 class TestEstimateRw:

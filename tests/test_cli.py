@@ -254,7 +254,9 @@ class TestForecastCommand:
          "no 'years' key"),
         (lambda doc, cfg: {**doc, "schema_version": 2}, "schema_version 2 is not 1"),
         (lambda doc, cfg: [doc], "JSON object"),
-    ], ids=["run-config", "no-params", "no-sigma2", "no-years", "schema-2", "list"])
+        (lambda doc, cfg: {**doc, "window": 5}, "window 5 is not"),
+    ], ids=["run-config", "no-params", "no-sigma2", "no-years", "schema-2", "list",
+            "window-int"])
     def test_malformed_artifact_exits_one(self, fit_dir, tmp_path, capsys,
                                           edit, message):
         doc = json.loads((fit_dir / "fit.json").read_text())
@@ -491,6 +493,19 @@ class TestRunConfig:
         path.write_text(text)
         assert run_cli("fit", "--config", path) == EXIT_ERROR
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("ages", 5, "config ages 5 is not tuple[int, int] | None"),
+        ("restarts", "3", "config restarts '3' is not int"),
+    ], ids=["ages-int", "restarts-str"])
+    def test_mistyped_config_value_exits_one(self, fit_dir, tmp_path, capsys,
+                                             key, value, message):
+        cfg = json.loads((fit_dir / "run_config.json").read_text())
+        path = tmp_path / "run_config.json"
+        path.write_text(json.dumps({**cfg, key: value, "out": str(tmp_path / "out")}))
+        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_takes_no_other_flag(self, fit_dir, tmp_path, capsys):
         first = tmp_path / "a"
