@@ -11,12 +11,13 @@ directly. Floats serialize with round-trip precision.
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 
 import numpy as np
 
 from .cbd import CbdFit
-from .data import cohort_labels
+from .data import _axis, cohort_labels
 from .design import KernelParams, build_design
 from .mixed import MixedFit, _evaluate, stack_grid, unstack_vector
 
@@ -73,32 +74,52 @@ def _cbd_to_dict(fit: CbdFit) -> dict:
     }
 
 
+def _read(doc, key, *shape, kind=float):
+    """``doc[key]`` checked as nested lists of ``shape`` (None: any length but
+    0) of ``kind`` values (a float may be a JSON integer, an int is no true or
+    false, a dict is any JSON object), else a ``ValueError`` naming the key."""
+    value = doc[key]
+    if not _fits(value, shape, {float: (int, float), dict: (_Object,)}.get(kind, (kind,))):
+        what = kind.__name__ + "".join(f"[{n or '1+'}]" for n in shape)
+        raise ValueError(f"fit artifact {key} {reprlib.repr(value)} is not {what}")
+    return value
+
+
+def _fits(value, shape, types) -> bool:
+    if not shape:
+        return type(value) in types
+    return (type(value) is list and 0 < len(value) == (shape[0] or len(value))
+            and all(_fits(v, shape[1:], types) for v in value))
+
+
 def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
-    y = stack_grid(np.asarray(doc["y"], dtype=float))
+    params = _read(doc, "params", kind=dict)
+    y = stack_grid(np.asarray(_read(doc, "y", years.size, ages.size), dtype=float))
     return MixedFit(
         evaluation=_evaluate(y, build_design(ages, years),
-                             KernelParams(*(doc["params"][n] for n in KernelParams.NAMES))),
-        loglik_trace=np.asarray(doc["loglik_trace"], dtype=float),
-        converged=bool(doc["converged"]),
-        n_iter=int(doc["n_iter"]),
+                             KernelParams(*(_read(params, n) for n in KernelParams.NAMES))),
+        loglik_trace=np.asarray(_read(doc, "loglik_trace", None), dtype=float),
+        converged=_read(doc, "converged", kind=bool),
+        n_iter=_read(doc, "n_iter", kind=int),
     )
 
 
 def _dict_to_cbd(doc: dict, ages, years) -> CbdFit:
+    cohorts = cohort_labels(ages, years)
     return CbdFit(
         ages=ages,
         years=years,
-        kappa1=np.asarray(doc["kappa1"], dtype=float),
-        kappa2=np.asarray(doc["kappa2"], dtype=float),
-        gamma3=np.asarray(doc["gamma3"], dtype=float),
-        cohorts=cohort_labels(ages, years),
-        included=np.asarray(doc["included"], dtype=bool),
-        x_bar=float(doc["x_bar"]),
-        loglik=float(doc["loglik"]),
-        loglik_trace=np.asarray(doc["loglik_trace"], dtype=float),
-        constraint_residuals=tuple(doc["constraint_residuals"]),
-        converged=bool(doc["converged"]),
-        n_sweeps=int(doc["n_sweeps"]),
+        kappa1=np.asarray(_read(doc, "kappa1", years.size), dtype=float),
+        kappa2=np.asarray(_read(doc, "kappa2", years.size), dtype=float),
+        gamma3=np.asarray(_read(doc, "gamma3", cohorts.size), dtype=float),
+        cohorts=cohorts,
+        included=np.asarray(_read(doc, "included", cohorts.size), dtype=bool),
+        x_bar=float(_read(doc, "x_bar")),
+        loglik=float(_read(doc, "loglik")),
+        loglik_trace=np.asarray(_read(doc, "loglik_trace", None), dtype=float),
+        constraint_residuals=tuple(_read(doc, "constraint_residuals", 2)),
+        converged=_read(doc, "converged", kind=bool),
+        n_sweeps=_read(doc, "n_sweeps", kind=int),
     )
 
 
@@ -128,11 +149,6 @@ def load_fit(path) -> MixedFit | CbdFit:
         raise ValueError(f"unknown or missing model tag {model!r}")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"fit artifact schema_version {doc['schema_version']!r} is not 1")
-    window = doc["window"]
-    try:
-        ages, years = (np.arange(int(lo), int(hi) + 1) for lo, hi in
-                       (window["ages"], window["years"]))
-    except TypeError:
-        raise ValueError(f"fit artifact window {window!r} is not "
-                         "{'ages': [lo, hi], 'years': [lo, hi]}") from None
+    window = _read(doc, "window", kind=dict)
+    ages, years = (_axis(_read(window, axis, 2, kind=int), axis) for axis in ("ages", "years"))
     return (_dict_to_mixed if model == "mixed" else _dict_to_cbd)(doc, ages, years)

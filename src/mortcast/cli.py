@@ -39,14 +39,7 @@ import numpy as np
 from . import artifacts
 from . import cbd as cbd_mod
 from . import mixed as mixed_mod
-from .backtest import BacktestPlan, emit_report, run_backtest
-from .data import (
-    build_surface,
-    inverse_logit,
-    parse_table,
-    split_train_test,
-    window_counts,
-)
+from .data import build_surface, inverse_logit, parse_table, window_counts
 from .design import build_design
 from .forecasts import normal_quantile
 from .mixed import MixedFit
@@ -57,7 +50,8 @@ EXIT_NONCONVERGENCE = 2
 
 #: settings that saved configs may still hold, each at the one value that
 #: today's code reproduces; a config holding any other value cannot rerun
-RETIRED_SETTINGS = {"synth_exposure": cbd_mod.SYNTH_EXPOSURE, "dump_matrices": False}
+RETIRED_SETTINGS = {"synth_exposure": cbd_mod.SYNTH_EXPOSURE, "dump_matrices": False,
+                    "split_year": None}
 
 
 @dataclass
@@ -70,7 +64,6 @@ class RunConfig:
     sex: str = "total"
     ages: tuple[int, int] | None = None
     years: tuple[int, int] | None = None
-    split_year: int | None = None
     model: str | None = "mixed"
     models: tuple[str, ...] = ("mixed", "cbd")
     horizon: int | None = None
@@ -177,20 +170,16 @@ def _parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fit", help="fit one model on a training window")
     add_data_flags(f)
     f.add_argument("--model", choices=["mixed", "cbd"], default="mixed")
-    f.add_argument("--split-year", type=int, default=None, dest="split_year",
-                   help="train only on years up to this one (the rest of "
-                   "the --years window is held out)")
     f.add_argument("--restarts", type=int, default=3)
     f.add_argument("--seed", type=int, default=0)
     add_common(f)
 
     fc = sub.add_parser("forecast", help="forecast from a saved fit artifact")
     fc.add_argument("--fit", dest="fit_path", help="path to fit.json")
-    fc.add_argument("--model", choices=["mixed", "cbd"], default=None,
-                    help="optional; must match the artifact's model tag")
     fc.add_argument("--horizon", type=int)
     fc.add_argument("--alpha", type=float, default=0.05)
     fc.add_argument("--rw-divisor", choices=["n", "n-1"], default="n")
+    fc.set_defaults(model=None)  # the artifact's tag decides the model
     add_common(fc)
 
     b = sub.add_parser("backtest", help="rolling-window evaluation")
@@ -251,8 +240,6 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 def cmd_fit(cfg: RunConfig) -> int:
     surface, counts = _load_surface(cfg)
-    if cfg.split_year is not None:
-        surface, _ = split_train_test(surface, cfg.split_year)
     out_dir = Path(cfg.out)
     t0 = time.perf_counter()
     if cfg.model == "mixed":
@@ -272,8 +259,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             summary.append("warning: sigma2 at its lower boundary")
     else:
         D, E = counts or cbd_mod.synthesize_counts(surface.q)
-        k = surface.n_years  # counts span the whole --years window
-        fit = cbd_mod.fit_cbd(D[:k], E[:k], surface.ages, surface.years)
+        fit = cbd_mod.fit_cbd(D, E, surface.ages, surface.years)
         r1, r2 = fit.constraint_residuals
         summary = [
             f"poisson log-likelihood: {fit.loglik:.4f}",
@@ -301,10 +287,6 @@ def cmd_forecast(cfg: RunConfig) -> int:
         raise MortcastError(f"fit artifact not found: {path}")
     fit = artifacts.load_fit(path)
     tag = "mixed" if isinstance(fit, MixedFit) else "cbd"
-    if cfg.model is not None and cfg.model != tag:
-        raise UsageError(
-            f"artifact model tag {tag!r} does not match --model {cfg.model!r}"
-        )
     if isinstance(fit, MixedFit):
         fc = mixed_mod.forecast(fit, cfg.horizon)
     else:
@@ -336,6 +318,9 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 
 def cmd_backtest(cfg: RunConfig) -> int:
+    # the only command with a process pool, so only it imports one
+    from .backtest import BacktestPlan, emit_report, run_backtest
+
     surface, counts = _load_surface(cfg)
     plan = BacktestPlan(**{f.name: getattr(cfg, f.name)
                            for f in fields(BacktestPlan) if hasattr(cfg, f.name)})
@@ -344,11 +329,12 @@ def cmd_backtest(cfg: RunConfig) -> int:
     report = run_backtest(plan, surface, deaths, exposures)
     elapsed = time.perf_counter() - t0
     out_dir = Path(cfg.out)
+    markdown = emit_report(report, "markdown-table")
     _write(out_dir, "report.csv", emit_report(report, "csv"))
-    _write(out_dir, "report.md", emit_report(report, "markdown-table"))
+    _write(out_dir, "report.md", markdown)
     _write(out_dir, "report.json", emit_report(report, "json"))
     _write(out_dir, "run_config.json", cfg.to_json())
-    print(emit_report(report, "markdown-table"))
+    print(markdown)
     if report.failures:
         print(f"WARNING: {len(report.failures)} window(s) excluded after fit failures",
               file=sys.stderr)

@@ -400,6 +400,14 @@ def _sweep_case(name):
         E = np.full(eta.shape, exposure)
         D = np.random.default_rng(rng).poisson(E * death_rate(eta)).astype(float)
         return D, E, ages, years
+    if name == "oldest-old":  # a predictor on both sides of eta = 0
+        ages, years = np.arange(95, 106), np.arange(1990, 2020)
+        rng = np.random.default_rng(5)
+        gamma3 = 0.03 * rng.standard_normal(cohort_labels(ages, years).size)
+        kappa1 = 0.2 - 0.01 * (years - years.mean())
+        eta = linear_predictor(kappa1, np.full(years.size, 0.08), gamma3, ages, years)
+        E = np.full(eta.shape, 2e3)
+        return rng.poisson(E * death_rate(eta)).astype(float), E, ages, years
     if name == "damped":  # the grid of test_underflowing_trial_point_warns_nothing
         rng = np.random.default_rng(0)
         m, n = int(rng.integers(5, 8)), int(rng.integers(6, 23))
@@ -419,7 +427,7 @@ class TestSweepsAgainstReference:
     sums): only rounding may differ."""
 
     @pytest.mark.parametrize("name", [
-        "a6", "corners", "single-age", "damped",
+        "a6", "corners", "single-age", "damped", "oldest-old",
         *(f"backtest-{end}" for end in (1987, 1993, 1999, 2005, 2011)),
     ])
     def test_same_sweeps_as_the_reference(self, name):
@@ -437,6 +445,9 @@ class TestSweepsAgainstReference:
             assert np.any(weighted.sum(axis=1) == 1)
         if name == "damped":
             assert ref["halvings"] > 0
+        if name == "oldest-old":  # the kernel's eta >= 0 branch runs inside the fit
+            eta = linear_predictor(f.kappa1, f.kappa2, f.gamma3, ages, years, f.cohorts)
+            assert eta.min() < 0 < eta.max()
 
 
 class TestEstimateRw:

@@ -146,17 +146,6 @@ class TestFitCommand:
         doc = json.loads((out / "fit.json").read_text())
         assert doc["converged"] is False and doc["sigma2_boundary"] is True
 
-    def test_split_year_trains_on_prefix(self, data_csv, tmp_path):
-        out = tmp_path / "run"
-        code = run_cli(
-            "fit", "--input", data_csv, "--format", "csv", "--ages", "60:63",
-            "--years", "1990:2012", "--split-year", "2005", "--restarts", "1",
-            "--out", out,
-        )
-        assert code == EXIT_OK
-        doc = json.loads((out / "fit.json").read_text())
-        assert doc["window"]["years"] == [1990, 2005]
-
     def test_rerun_from_config_is_byte_identical(self, data_csv, tmp_path):
         out = tmp_path / "run"
         run_cli(
@@ -181,6 +170,14 @@ def fit_dir(data_csv, tmp_path_factory):
         )
         == EXIT_OK
     )
+    return out
+
+
+@pytest.fixture(scope="module")
+def cbd_fit_dir(data_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cbd_fit")
+    assert run_cli("fit", "--model", "cbd", "--input", data_csv, "--ages", "60:63",
+                   "--years", "1990:2009", "--out", out) == EXIT_OK
     return out
 
 
@@ -255,14 +252,46 @@ class TestForecastCommand:
         (lambda doc, cfg: {**doc, "schema_version": 2}, "schema_version 2 is not 1"),
         (lambda doc, cfg: [doc], "JSON object"),
         (lambda doc, cfg: {**doc, "window": 5}, "window 5 is not"),
+        (lambda doc, cfg: {**doc, "params": 5}, "params 5 is not dict"),
+        (lambda doc, cfg: {**doc, "n_iter": None}, "n_iter None is not int"),
+        (lambda doc, cfg: {**doc, "n_iter": True}, "n_iter True is not int"),
+        (lambda doc, cfg: {**doc, "params": {**doc["params"], "h1": "1"}},
+         "h1 '1' is not float"),
+        (lambda doc, cfg: {**doc, "y": doc["y"][1:]}, "is not float[20][4]"),
     ], ids=["run-config", "no-params", "no-sigma2", "no-years", "schema-2", "list",
-            "window-int"])
+            "window-int", "params-int", "n_iter-null", "n_iter-bool", "h1-str",
+            "y-short"])
     def test_malformed_artifact_exits_one(self, fit_dir, tmp_path, capsys,
                                           edit, message):
         doc = json.loads((fit_dir / "fit.json").read_text())
         cfg = json.loads((fit_dir / "run_config.json").read_text())
         path = tmp_path / "fit.json"
         path.write_text(json.dumps(edit(doc, cfg)))
+        code = run_cli("forecast", "--fit", path, "--horizon", "2",
+                       "--out", tmp_path / "fc")
+        assert code == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_sweeps", None, "n_sweeps None is not int"),
+        ("x_bar", [1], "x_bar [1] is not float"),
+        ("kappa1", {}, "kappa1 {} is not float[20]"),
+        ("constraint_residuals", 5, "constraint_residuals 5 is not float[2]"),
+        ("gamma3", 5, "gamma3 5 is not float[23]"),
+        ("included", [1], "included [1] is not float[23]"),
+        ("converged", 1, "converged 1 is not bool"),
+        ("loglik_trace", [], "loglik_trace [] is not float[1+]"),
+        ("window", {"ages": [60, 63], "years": [2009, 1990]},
+         "years range 2009:1990 is reversed"),
+    ], ids=["n_sweeps-null", "x_bar-list", "kappa1-object", "residuals-int",
+            "gamma3-int", "included-short", "converged-int", "trace-empty",
+            "window-reversed"])
+    def test_malformed_cbd_artifact_exits_one(self, cbd_fit_dir, tmp_path, capsys,
+                                              key, value, message):
+        doc = json.loads((cbd_fit_dir / "fit.json").read_text())
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps({**doc, key: value}))
         code = run_cli("forecast", "--fit", path, "--horizon", "2",
                        "--out", tmp_path / "fc")
         assert code == EXIT_ERROR
@@ -304,14 +333,6 @@ class TestForecastCommand:
         lines = (out / "plot_data.csv").read_text().strip().splitlines()
         ages = [int(l.split(",")[0]) for l in lines[1:]]
         assert ages == sorted(ages)
-
-    def test_model_mismatch(self, fit_dir, tmp_path, capsys):
-        code = run_cli(
-            "forecast", "--fit", fit_dir / "fit.json", "--model", "cbd",
-            "--horizon", "2", "--out", tmp_path,
-        )
-        assert code == EXIT_ERROR
-        assert "does not match" in capsys.readouterr().err
 
     def test_nonpositive_horizon(self, fit_dir, tmp_path):
         assert (
@@ -467,6 +488,57 @@ class TestRunConfig:
         assert run_cli("fit", "--config", path) == EXIT_ERROR
         assert "dump_matrices True" in capsys.readouterr().err
         assert not other.exists()
+
+    @pytest.mark.parametrize("model", ["mixed", "cbd"])
+    def test_split_year_is_gone(self, data_csv, tmp_path, capsys, model):
+        args = ("--model", model, "--input", data_csv, "--ages", "60:63",
+                "--restarts", "1")
+        code = run_cli("fit", *args, "--years", "1990:2012", "--split-year", "2005",
+                       "--out", tmp_path / "a")
+        assert code == EXIT_ERROR
+        assert "--split-year" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        # --years names the training window
+        out = tmp_path / "b"
+        assert run_cli("fit", *args, "--years", "1990:2005", "--out", out) == EXIT_OK
+        first = (out / "fit.json").read_bytes()
+        assert json.loads(first)["window"]["years"] == [1990, 2005]
+        cfg = json.loads((out / "run_config.json").read_text())
+        assert "split_year" not in cfg
+        # a config saved while the flag existed reruns its fit byte for byte
+        (out / "fit.json").unlink()
+        (out / "run_config.json").write_text(json.dumps({**cfg, "split_year": None}))
+        assert run_cli("fit", "--config", out / "run_config.json") == EXIT_OK
+        assert (out / "fit.json").read_bytes() == first
+        # one that split its window names a run --years LO:Y now states
+        path = tmp_path / "split.json"
+        other = tmp_path / "c"
+        path.write_text(json.dumps({**cfg, "out": str(other), "years": [1990, 2012],
+                                    "split_year": 2005}))
+        capsys.readouterr()
+        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert "split_year 2005" in capsys.readouterr().err
+        assert not other.exists()
+
+    def test_forecast_model_is_gone(self, fit_dir, tmp_path, capsys):
+        args = ("--fit", fit_dir / "fit.json", "--horizon", "2")
+        for model in ("mixed", "cbd"):
+            code = run_cli("forecast", *args, "--model", model, "--out", tmp_path / "a")
+            assert code == EXIT_ERROR
+            assert "--model" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        # the artifact's tag decides the model; the saved config keeps the field
+        out = tmp_path / "b"
+        assert run_cli("forecast", *args, "--out", out) == EXIT_OK
+        assert capsys.readouterr().out.startswith("mixed forecast:")
+        first = (out / "forecast.csv").read_bytes()
+        cfg = json.loads((out / "run_config.json").read_text())
+        assert cfg["model"] is None
+        # a config saved with the tag reruns: the value is not read
+        (out / "forecast.csv").unlink()
+        (out / "run_config.json").write_text(json.dumps({**cfg, "model": "mixed"}))
+        assert run_cli("forecast", "--config", out / "run_config.json") == EXIT_OK
+        assert (out / "forecast.csv").read_bytes() == first
 
     def test_config_reruns_only_its_own_command(self, fit_dir, tmp_path, capsys):
         saved = (fit_dir / "fit.json").read_bytes()
@@ -659,6 +731,32 @@ class TestImportHygiene:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "mixed_fc" / "forecast.csv").exists()
         assert (tmp_path / "cbd_fc" / "forecast.csv").exists()
+
+    def test_only_backtest_loads_a_process_pool(self, data_csv, tmp_path):
+        code = (
+            "import sys\n"
+            "def pool(when, loaded):\n"
+            "    got = [m for m in ('multiprocessing', 'concurrent.futures')\n"
+            "           if (m in sys.modules) != loaded]\n"
+            "    assert not got, f'{got} {\"not \" * loaded}loaded {when}'\n"
+            "from mortcast.cli import main\n"
+            "pool('by import mortcast.cli', False)\n"
+            "data, out = sys.argv[1:]\n"
+            "window = ['--input', data, '--ages', '60:63', '--years', '1990:2009']\n"
+            "for model in ('mixed', 'cbd'):\n"
+            "    assert main(['fit', '--model', model, *window, '--restarts', '1',\n"
+            "                 '--out', f'{out}/{model}']) == 0\n"
+            "    assert main(['forecast', '--fit', f'{out}/{model}/fit.json',\n"
+            "                 '--horizon', '3', '--out', f'{out}/{model}']) == 0\n"
+            "pool('by fit or forecast', False)\n"
+            "assert main(['backtest', *window, '--models', 'cbd', '--horizons', '2',\n"
+            "             '--windows', '2', '--out', f'{out}/bt']) == 0\n"
+            "pool('by backtest', True)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(data_csv), str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "bt" / "report.csv").exists()
 
     def test_no_module_level_scipy_import(self):
         """The package imports scipy nowhere, not even in a function body:
