@@ -21,8 +21,7 @@ from . import cbd as cbd_mod
 from . import mixed as mixed_mod
 from .data import MortalitySurface
 from .design import build_design
-from .errors import MortcastError
-from .threads import thread_cap
+from .errors import MortcastError, UsageError
 
 MODELS = ("mixed", "cbd")
 
@@ -81,6 +80,8 @@ class BacktestPlan:
                              f"got {self.models!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1 or None, got {self.workers}")
         if self.rw_divisor not in ("n", "n-1"):
             raise ValueError(f"rw_divisor must be 'n' or 'n-1', got {self.rw_divisor!r}")
 
@@ -179,9 +180,11 @@ def _run_fit(surface, deaths, exposures, plan, model, train_end, served):
 
 
 def _resolve_workers(plan: BacktestPlan, n_tasks: int) -> int:
-    cap = thread_cap() or os.cpu_count() or 1
-    want = plan.workers if plan.workers is not None else min(n_tasks, cap)
-    return max(1, min(want, cap, n_tasks))
+    text = os.environ.get("MORTCAST_THREADS", "")
+    if text and not (text.strip().isdecimal() and int(text) > 0):
+        raise UsageError(f"MORTCAST_THREADS must be a positive integer, got {text!r}")
+    cap = int(text) if text else os.cpu_count() or 1
+    return min(plan.workers or n_tasks, cap, n_tasks)
 
 
 def feasibility_start(years: np.ndarray, horizon: int, windows: int) -> int:
@@ -216,6 +219,9 @@ def run_backtest(
     Fits are independent and run in parallel when more than one worker is
     available (``MORTCAST_THREADS`` caps the count); results sort by
     (model, horizon, window), so the report does not depend on scheduling.
+    Workers inherit the caller's BLAS threads: with several workers, pin
+    BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) before numpy is
+    imported, as the CLI does, or the workers oversubscribe the cores.
     Windows whose fit fails are excluded from the pooled average and listed
     in ``report.failures``; windows whose fit stopped without converging
     stay in the pooled average and are flagged per result (``converged``).

@@ -1,10 +1,10 @@
 """Command-line entry point: fit, forecast and backtest as reproducible runs.
 
 Every command writes ``run_config.json`` next to its outputs; ``--config
-run_config.json`` alone reproduces them byte for byte on the same BLAS and
-thread count. Machine-readable files carry round-trip float precision; the
-stdout summary rounds to 4 decimals. Exit codes: 0 success, 1 usage or data
-error, 2 numerical non-convergence (artifacts are still written).
+run_config.json`` alone reproduces them byte for byte on the same BLAS
+library and BLAS thread count. Machine-readable files carry round-trip float
+precision; the stdout summary rounds to 4 decimals. Exit codes: 0 success, 1
+usage or data error, 2 numerical non-convergence (artifacts are still written).
 """
 
 from __future__ import annotations
@@ -20,19 +20,14 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import MortcastError, UsageError
-from .threads import thread_cap
 
-# BLAS runs single-threaded unless OPENBLAS_NUM_THREADS (or OMP_/MKL_) or
-# MORTCAST_THREADS is set: thread handoff costs more than it saves at these
-# sizes, and fixed-order reductions keep reruns byte-identical. The package
-# __init__ imports nothing, so this runs before numpy loads; main() reports
-# a bad MORTCAST_THREADS, which never reaches BLAS.
-try:
-    _blas_threads = str(thread_cap() or 1)
-except UsageError:
-    _blas_threads = "1"
+# BLAS runs single-threaded unless OPENBLAS_NUM_THREADS (or OMP_/MKL_) is
+# set: thread handoff costs more than it saves at these sizes, a fixed thread
+# count keeps reruns byte-identical, and the backtest's parallel workers
+# would otherwise oversubscribe the cores. The package __init__ imports
+# nothing, so this runs before numpy loads.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, _blas_threads)
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -89,8 +84,8 @@ class RunConfig:
         for key, value in RETIRED_SETTINGS.items():
             saved = doc.pop(key, value)
             if saved != value:
-                raise UsageError(f"config {key} {saved!r} cannot be reproduced: "
-                                 f"the setting is retired at {value!r}")
+                raise UsageError(f"config {key} {json.dumps(saved)} cannot be reproduced: "
+                                 f"the setting is retired at {json.dumps(value)}")
         known = {f.name: f.type for f in fields(cls)}
         unknown = sorted(set(doc) - set(known))
         if unknown:
@@ -351,7 +346,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; remap to the documented code
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
-        thread_cap()  # a bad MORTCAST_THREADS fails every command, not just backtest
         cfg = _config_from_args(args, argv)  # cfg.command is args.command
         run = {"fit": cmd_fit, "forecast": cmd_forecast, "backtest": cmd_backtest}
         return run[cfg.command](cfg)

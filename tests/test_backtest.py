@@ -496,6 +496,7 @@ class TestPlanValidation:
         (dict(restarts=0), "restarts must be >= 1"),
         (dict(rw_divisor="n-2"), "rw_divisor must be"),
         (dict(models=()), "non-empty subset"),
+        (dict(workers=0), "workers must be"),
     ])
     def test_bad_policy_rejected(self, bad, match):
         with pytest.raises(ValueError, match=match):

@@ -462,7 +462,8 @@ class TestRunConfig:
         path.write_text(json.dumps({**cfg, "out": str(other), "synth_exposure": 1000.0}))
         capsys.readouterr()
         assert run_cli("fit", "--config", path) == EXIT_ERROR
-        assert "synth_exposure 1000.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "synth_exposure 1000.0" in err and "retired at 100000.0" in err
         assert not other.exists()
 
     def test_dump_matrices_is_gone(self, data_csv, tmp_path, capsys):
@@ -486,7 +487,8 @@ class TestRunConfig:
         path.write_text(json.dumps({**cfg, "out": str(other), "dump_matrices": True}))
         capsys.readouterr()
         assert run_cli("fit", "--config", path) == EXIT_ERROR
-        assert "dump_matrices True" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dump_matrices true" in err and "retired at false" in err
         assert not other.exists()
 
     @pytest.mark.parametrize("model", ["mixed", "cbd"])
@@ -517,7 +519,8 @@ class TestRunConfig:
                                     "split_year": 2005}))
         capsys.readouterr()
         assert run_cli("fit", "--config", path) == EXIT_ERROR
-        assert "split_year 2005" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "split_year 2005" in err and "retired at null" in err
         assert not other.exists()
 
     def test_forecast_model_is_gone(self, fit_dir, tmp_path, capsys):
@@ -599,11 +602,20 @@ class TestRunConfig:
     def test_bad_thread_env_exits_one_naming_it(self, data_csv, tmp_path,
                                                 monkeypatch, capsys):
         monkeypatch.setenv("MORTCAST_THREADS", "abc")
-        code = run_cli("fit", "--model", "cbd", "--input", data_csv,
-                       "--years", "1990:2012", "--ages", "60:63", "--out", tmp_path)
+        code = run_cli("backtest", "--input", data_csv, "--ages", "60:63",
+                       "--years", "1990:2012", "--horizons", "2", "--windows", "2",
+                       "--out", tmp_path)
         assert code == EXIT_ERROR
         assert "MORTCAST_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "fit.json").exists()
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_fit_does_not_read_thread_env(self, data_csv, tmp_path, monkeypatch):
+        # MORTCAST_THREADS caps the backtest's workers and nothing else
+        monkeypatch.setenv("MORTCAST_THREADS", "abc")
+        code = run_cli("fit", "--input", data_csv, "--years", "1990:2000",
+                       "--ages", "60:63", "--restarts", "1", "--out", tmp_path)
+        assert code == EXIT_OK
+        assert (tmp_path / "fit.json").exists()
 
     def test_usage_error_exit_code(self):
         assert main(["fit", "--bogus-flag"]) == EXIT_ERROR
@@ -659,14 +671,12 @@ class TestArtifacts:
 class TestImportHygiene:
     """The package imports nothing, so the CLI pins BLAS before numpy loads."""
 
-    @pytest.mark.parametrize("threads, blas", [(None, "1"), ("2", "2"),
-                                               ("abc", "1"), ("0", "1")])
-    def test_cli_pins_blas_before_numpy(self, threads, blas):
+    @staticmethod
+    def _blas_vars_after_cli_import(**set_vars):
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                             "MKL_NUM_THREADS", "MORTCAST_THREADS")}
-        if threads is not None:
-            env["MORTCAST_THREADS"] = threads
+        env.update(set_vars)
         code = (
             "import os, sys\n"
             "import mortcast\n"
@@ -679,7 +689,19 @@ class TestImportHygiene:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [blas] * 3
+        return proc.stdout.split()
+
+    @pytest.mark.parametrize("threads, blas", [(None, "1"), ("2", "1"),
+                                               ("abc", "1"), ("0", "1")])
+    def test_cli_pins_blas_before_numpy(self, threads, blas):
+        # MORTCAST_THREADS caps the backtest's workers, never BLAS
+        env = {} if threads is None else {"MORTCAST_THREADS": threads}
+        assert self._blas_vars_after_cli_import(**env) == [blas] * 3
+
+    def test_cli_keeps_a_set_blas_variable(self):
+        got = self._blas_vars_after_cli_import(OPENBLAS_NUM_THREADS="3",
+                                               MORTCAST_THREADS="2")
+        assert got == ["3", "1", "1"]
 
     def test_fit_and_backtest_load_no_scipy(self):
         code = (
