@@ -9,6 +9,7 @@ taking the root; it is not a mean of per-window RMSEs.
 
 from __future__ import annotations
 
+import csv
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -65,7 +66,6 @@ class BacktestPlan:
     models: tuple[str, ...] = MODELS
     seed: int = 0
     restarts: int = 1
-    rw_divisor: str = "n"
     workers: int | None = None
 
     def __post_init__(self):
@@ -80,10 +80,10 @@ class BacktestPlan:
                              f"got {self.models!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1 or None, got {self.workers}")
-        if self.rw_divisor not in ("n", "n-1"):
-            raise ValueError(f"rw_divisor must be 'n' or 'n-1', got {self.rw_divisor!r}")
 
     def check_surface(self, surface: MortalitySurface) -> None:
         for name, window, axis in (
@@ -158,8 +158,7 @@ def _run_fit(surface, deaths, exposures, plan, model, train_end, served):
             n_iter = fit.n_iter
         else:
             fit = cbd_mod.fit_cbd(deaths[:k], exposures[:k], surface.ages, train_years)
-            drift = cbd_mod.estimate_rw(fit, divisor=plan.rw_divisor)
-            fc = cbd_mod.forecast_cbd(fit, drift, horizon)
+            fc = cbd_mod.forecast_cbd(fit, cbd_mod.estimate_rw(fit), horizon)
             n_iter = fit.n_sweeps
         preds = [fc.year_slice(train_end + h)[0] for h, _ in served]
     except _MODEL_ERRORS as exc:  # fit failures are reported, not fatal
@@ -296,15 +295,17 @@ def emit_report(report: BacktestReport, fmt: str) -> str:
 
 
 def _emit_csv(report: BacktestReport) -> str:
+    """csv.writer rows: a label holding a comma, quote or newline is quoted."""
     out = io.StringIO()
-    out.write("model,country,sex,horizon,window,rmse\n")
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["model", "country", "sex", "horizon", "window", "rmse"])
     plan = report.plan
     groups = _by_model_horizon(plan, report.results)
     for model, h in sorted(groups):
-        prefix = f"{model},{plan.label},{plan.sex},{h}"
+        prefix = [model, plan.label, plan.sex, h]
         for r in groups[(model, h)]:
-            out.write(f"{prefix},{r.window},{float(r.rmse)!r}\n")
-        out.write(f"{prefix},all,{float(report.pooled[(model, h)])!r}\n")
+            rows.writerow([*prefix, r.window, float(r.rmse)])
+        rows.writerow([*prefix, "all", float(report.pooled[(model, h)])])
     return out.getvalue()
 
 

@@ -304,45 +304,40 @@ def fitted_logit(fit: CbdFit) -> np.ndarray:
     )
 
 
-def estimate_rw(fit: CbdFit, divisor: str = "n") -> RwDrift:
+def estimate_rw(fit: CbdFit) -> RwDrift:
     """Random-walk-with-drift estimates from the fitted parameter series.
 
     ``d`` and ``V`` are the mean and (centered) mean outer product of the
     first differences of (kappa1, kappa2); ``mu``/``var_dgamma`` are the
-    analogues for the cohort series over its fitted range. ``divisor="n"``
-    averages over the number of differences as the expectation notation
-    reads; ``"n-1"`` switches to the unbiased denominator.
+    analogues for the cohort series over its fitted range. Both variances
+    divide by the number of differences: the maximum-likelihood estimates
+    of the classical two-step fit (Cairns, Blake & Dowd 2006).
     """
-    if divisor not in ("n", "n-1"):
-        raise ValueError(f"divisor must be 'n' or 'n-1', got {divisor!r}")
     if fit.years.size < 3:
         raise ValueError("need at least 3 fitted years to estimate the random walk")
-    ddof = 0 if divisor == "n" else 1
     dk = np.column_stack([np.diff(fit.kappa1), np.diff(fit.kappa2)])
     d = dk.mean(axis=0)
     centered = dk - d
-    V = (centered.T @ centered) / (dk.shape[0] - ddof)
+    V = (centered.T @ centered) / dk.shape[0]
 
     g = fit.gamma3[fit.included]
     if g.size < 2:
         raise ValueError("fitted cohort series too short for drift estimation")
     dg = np.diff(g)
     mu = float(dg.mean())
-    var_dgamma = float(np.sum((dg - mu) ** 2) / max(dg.size - ddof, 1))
+    var_dgamma = float(np.sum((dg - mu) ** 2) / dg.size)
     return RwDrift(d=d, V=V, mu=mu, var_dgamma=var_dgamma)
 
 
-def forecast_cbd(
-    fit: CbdFit, drift: RwDrift, horizon: int, alpha: float = 0.05
-) -> Forecast:
+def forecast_cbd(fit: CbdFit, drift: RwDrift, horizon: int) -> Forecast:
     """Extrapolate the parameter curves h years ahead.
 
     kappa means move by the drift each year with Var = (steps ahead) * V
     mapped through [1, x - x_bar]. Cohorts beyond the last fitted one take
     the univariate recursion from the last fitted cohort value, stepping
     over the sparse excluded labels, and contribute (extrapolated steps) *
-    var_dgamma to the cell variance. ``alpha`` is unread; a band's level is
-    chosen by ``Forecast.interval``.
+    var_dgamma to the cell variance. ``Forecast.interval`` chooses a band's
+    level.
     """
     if horizon < 1:
         raise ValueError("forecast horizon must be >= 1")

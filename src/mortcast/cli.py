@@ -46,7 +46,7 @@ EXIT_NONCONVERGENCE = 2
 #: settings that saved configs may still hold, each at the one value that
 #: today's code reproduces; a config holding any other value cannot rerun
 RETIRED_SETTINGS = {"synth_exposure": cbd_mod.SYNTH_EXPOSURE, "dump_matrices": False,
-                    "split_year": None}
+                    "split_year": None, "rw_divisor": "n"}
 
 
 @dataclass
@@ -71,7 +71,6 @@ class RunConfig:
     fit_path: str | None = None
     label: str = "dataset"
     clamp_q: float | None = None
-    rw_divisor: str = "n"
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -173,7 +172,6 @@ def _parser() -> argparse.ArgumentParser:
     fc.add_argument("--fit", dest="fit_path", help="path to fit.json")
     fc.add_argument("--horizon", type=int)
     fc.add_argument("--alpha", type=float, default=0.05)
-    fc.add_argument("--rw-divisor", choices=["n", "n-1"], default="n")
     fc.set_defaults(model=None)  # the artifact's tag decides the model
     add_common(fc)
 
@@ -185,7 +183,6 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--windows", type=int, default=10)
     b.add_argument("--restarts", type=int, default=1)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--rw-divisor", choices=["n", "n-1"], default="n")
     b.add_argument("--label", default="dataset")
     add_common(b)
     return p
@@ -285,8 +282,7 @@ def cmd_forecast(cfg: RunConfig) -> int:
     if isinstance(fit, MixedFit):
         fc = mixed_mod.forecast(fit, cfg.horizon)
     else:
-        drift = cbd_mod.estimate_rw(fit, divisor=cfg.rw_divisor)
-        fc = cbd_mod.forecast_cbd(fit, drift, cfg.horizon)
+        fc = cbd_mod.forecast_cbd(fit, cbd_mod.estimate_rw(fit), cfg.horizon)
 
     # (year, age, mean, q, lo, hi) per cell, in (year, age) order
     years, ages = np.meshgrid(fc.years, fc.ages, indexing="ij")

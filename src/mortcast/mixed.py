@@ -442,7 +442,8 @@ def fit(
     design : training design (horizon 0)
     init : starting hyperparameters; derived from the data when omitted
     restarts : number of optimization runs; the best final likelihood wins
-    seed : seeds the deterministic perturbations of runs beyond the third
+    seed : seeds the deterministic perturbations of runs beyond the third;
+        must be >= 0
     free : optional boolean mask over [h1, l1, h2, l2, c, s, sigma2]
         restricting which log parameters the optimizer moves
 
@@ -459,6 +460,8 @@ def fit(
         raise ValueError("fit expects a training design (horizon 0)")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     base = init if init is not None else default_init(y, design)
     free = np.ones(7, dtype=bool) if free is None else np.asarray(free, dtype=bool)
     if free.shape != (7,):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -192,8 +193,7 @@ class TestOneFitPerTrainingWindow:
         if model == "cbd":
             D, E = bt.cbd_mod.synthesize_counts(surface.q[:k])
             fit = fit_cbd(D, E, surface.ages, surface.years[:k])
-            drift = bt.cbd_mod.estimate_rw(fit, divisor=plan.rw_divisor)
-            fc = bt.cbd_mod.forecast_cbd(fit, drift, horizon)
+            fc = bt.cbd_mod.forecast_cbd(fit, bt.cbd_mod.estimate_rw(fit), horizon)
         else:
             design = bt.build_design(surface.ages, surface.years[:k])
             fit = fit_mixed(surface.y[:k], design, restarts=plan.restarts)
@@ -403,6 +403,15 @@ class TestEmitReport:
             assert row[4] == "all" or row[4].isdigit()
             float(row[5])  # parses round-trip
 
+    @pytest.mark.parametrize("label", ["Japan, male", 'Japan "JPN"\nmale'])
+    def test_csv_quotes_the_label(self, report, label):
+        plan = dataclasses.replace(report.plan, label=label)
+        text = emit_report(dataclasses.replace(report, plan=plan), "csv")
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) == 1 + 2 * 2 * (2 + 1)
+        assert all(len(row) == 6 for row in rows)
+        assert all(row[1] == label for row in rows[1:])
+
     def test_csv_pooled_rows_match_report(self, report):
         text = emit_report(report, "csv")
         for row in csv.reader(io.StringIO(text)):
@@ -494,7 +503,7 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize("bad, match", [
         (dict(restarts=0), "restarts must be >= 1"),
-        (dict(rw_divisor="n-2"), "rw_divisor must be"),
+        (dict(seed=-1), "seed must be"),
         (dict(models=()), "non-empty subset"),
         (dict(workers=0), "workers must be"),
     ])

@@ -477,18 +477,6 @@ class TestEstimateRw:
         g_inc = g3[f.included]
         np.testing.assert_allclose(rw.mu, np.diff(g_inc).mean(), atol=1e-12)
 
-    def test_unbiased_divisor_flag(self, rng):
-        ages = np.arange(60, 64)
-        years = np.arange(2000, 2011)
-        k1 = rng.normal(size=11).cumsum()
-        k2 = rng.normal(scale=0.1, size=11).cumsum()
-        f = make_fit(ages, years, k1, k2)
-        v_n = estimate_rw(f, divisor="n").V
-        v_u = estimate_rw(f, divisor="n-1").V
-        np.testing.assert_allclose(v_u * (9 / 10), v_n, rtol=1e-12)
-        with pytest.raises(ValueError):
-            estimate_rw(f, divisor="bogus")
-
     def test_needs_three_years(self):
         f = make_fit(np.arange(60, 64), np.arange(2000, 2002), [0.0, 0.1], [0.0, 0.0])
         with pytest.raises(ValueError):
@@ -552,7 +540,7 @@ class TestForecastCbd:
         f = fit_cbd(D, E, ages, years)
         rw = estimate_rw(f)
         h = 2
-        fc = forecast_cbd(f, rw, h, alpha=0.05)
+        fc = forecast_cbd(f, rw, h)
         x_bar = ages.mean()
         last_inc = f.cohorts[f.included][-1]
         g_last = f.gamma3[f.included][-1]

@@ -146,6 +146,14 @@ class TestFitCommand:
         doc = json.loads((out / "fit.json").read_text())
         assert doc["converged"] is False and doc["sigma2_boundary"] is True
 
+    def test_negative_seed_exits_one_naming_it(self, data_csv, tmp_path, capsys):
+        code = run_cli("fit", "--input", data_csv, "--ages", "60:63", "--years",
+                       "1990:2005", "--restarts", "1", "--seed", "-1",
+                       "--out", tmp_path / "run")
+        assert code == EXIT_ERROR
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_rerun_from_config_is_byte_identical(self, data_csv, tmp_path):
         out = tmp_path / "run"
         run_cli(
@@ -407,6 +415,7 @@ class TestBacktestCommand:
         (("--exposure", "1e3"), "unrecognized arguments: --exposure"),
         (("--models", ""), "non-empty subset"),
         (("--horizons", "2,x"), "--horizons"),
+        (("--seed", "-1"), "seed must be"),
     ])
     def test_usage_errors_exit_one_before_any_fit(self, data_csv, tmp_path, capsys,
                                                   flags, message):
@@ -542,6 +551,43 @@ class TestRunConfig:
         (out / "run_config.json").write_text(json.dumps({**cfg, "model": "mixed"}))
         assert run_cli("forecast", "--config", out / "run_config.json") == EXIT_OK
         assert (out / "forecast.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("command", ["fit", "forecast", "backtest"])
+    def test_rw_divisor_is_gone(self, data_csv, cbd_fit_dir, tmp_path, capsys, command):
+        args, outputs = {
+            "fit": (("--model", "cbd", "--input", data_csv, "--ages", "60:63",
+                     "--years", "1990:2005"), ("fit.json",)),
+            "forecast": (("--fit", cbd_fit_dir / "fit.json", "--horizon", "2"),
+                         ("forecast.csv", "plot_data.csv")),
+            "backtest": (("--input", data_csv, "--ages", "60:63", "--years", "1990:2012",
+                          "--horizons", "2", "--windows", "2", "--models", "cbd"),
+                         ("report.csv", "report.json", "report.md")),
+        }[command]
+        if command != "fit":  # fit never took the flag
+            code = run_cli(command, *args, "--rw-divisor", "n", "--out", tmp_path / "a")
+            assert code == EXIT_ERROR
+            assert "--rw-divisor" in capsys.readouterr().err
+            assert not (tmp_path / "a").exists()
+        out = tmp_path / "b"
+        assert run_cli(command, *args, "--out", out) == EXIT_OK
+        first = [(out / name).read_bytes() for name in outputs]
+        cfg = json.loads((out / "run_config.json").read_text())
+        assert "rw_divisor" not in cfg
+        # every config saved while the flag existed holds "n" and reruns byte for byte
+        for name in outputs:
+            (out / name).unlink()
+        (out / "run_config.json").write_text(json.dumps({**cfg, "rw_divisor": "n"}))
+        assert run_cli(command, "--config", out / "run_config.json") == EXIT_OK
+        assert [(out / name).read_bytes() for name in outputs] == first
+        # one that chose the other denominator names a run that is gone
+        path = tmp_path / "unbiased.json"
+        other = tmp_path / "c"
+        path.write_text(json.dumps({**cfg, "out": str(other), "rw_divisor": "n-1"}))
+        capsys.readouterr()
+        assert run_cli(command, "--config", path) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert 'rw_divisor "n-1"' in err and 'retired at "n"' in err
+        assert not other.exists()
 
     def test_config_reruns_only_its_own_command(self, fit_dir, tmp_path, capsys):
         saved = (fit_dir / "fit.json").read_bytes()
