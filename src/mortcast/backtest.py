@@ -69,6 +69,8 @@ class BacktestPlan:
     workers: int | None = None
 
     def __post_init__(self):
+        if "\r" in self.label:  # csv.writer would leave it unquoted in report.csv
+            raise ValueError(f"label may not hold a carriage return, got {self.label!r}")
         if self.windows < 1:
             raise ValueError("windows must be >= 1")
         if not self.horizons or any(h < 1 for h in self.horizons):

@@ -34,8 +34,10 @@ from .forecasts import Forecast
 
 #: cohorts observed in fewer cells than this are dropped from the fit
 MIN_COHORT_CELLS = 3
-#: sweeps stop once an accepted sweep gains at most TOL * (1 + |LL|)
+#: sweeps stop once an accepted sweep gains at most TOL * (1 + |LL|), or
+#: unconverged after MAX_SWEEPS
 TOL = 1e-8
+MAX_SWEEPS = 1000
 #: flat exposure of counts synthesized from rates: the Poisson LL is then
 #: E * sum(m log mu - mu) + const, so the level cannot move its maximum
 SYNTH_EXPOSURE = 1e5
@@ -176,7 +178,7 @@ def _cell_terms(eta, wD, wE):
     return rate, U, H
 
 
-def fit_cbd(D, E, ages, years, max_sweeps: int = 1000) -> CbdFit:
+def fit_cbd(D, E, ages, years) -> CbdFit:
     """Maximize the Poisson log-likelihood by blockwise Newton sweeps.
 
     Each sweep takes a joint Newton step on (kappa1_t, kappa2_t) for every
@@ -240,7 +242,7 @@ def fit_cbd(D, E, ages, years, max_sweeps: int = 1000) -> CbdFit:
     converged = False
     sweeps = 0
 
-    while sweeps < max_sweeps:
+    while sweeps < MAX_SWEEPS:
         sweeps += 1
         # joint 2x2 Newton step per year for (kappa1_t, kappa2_t) from the
         # accepted point's cell terms, kept from its likelihood check; the

@@ -112,13 +112,11 @@ def _typed(value, hint) -> bool:
 
 
 def _range(text: str) -> tuple[int, int]:
-    """``LO:HI`` as an inclusive (lo, hi) pair."""
+    """``LO:HI`` as an inclusive (lo, hi) pair; ``data`` rejects a reversed one."""
     try:
         lo, hi = map(int, text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects LO:HI, got {text!r}") from None
-    if hi < lo:
-        raise argparse.ArgumentTypeError(f"range {lo}:{hi} is reversed")
     return lo, hi
 
 

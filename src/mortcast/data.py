@@ -190,16 +190,8 @@ def _parse_hmd_1x1(text: str, sex: str) -> RawMortalityTable:
         fields = line.split()
         if not fields:
             continue
-        if not seen_header:
-            # Preamble ends at the "Year Age Female Male Total" header; some
-            # files omit it, so a data-shaped line also starts the table.
-            if fields[0].lower() == "year":
-                seen_header = True
-                continue
-            if not fields[0].isdigit():
-                continue
-            seen_header = True
-        if fields[0].lower() == "year":
+        if not seen_header:  # the preamble ends at the table's header
+            seen_header = fields[0].lower() == "year"
             continue
         if len(fields) != 5:
             raise ParseError(
@@ -227,6 +219,8 @@ def _parse_hmd_1x1(text: str, sex: str) -> RawMortalityTable:
         years.append(year)
         ages.append(age)
         rates.append(rate)
+    if not seen_header:
+        raise EmptyInputError("no 'Year Age Female Male Total' header line found")
     if not years:
         raise EmptyInputError("no data rows found")
     return RawMortalityTable(np.array(years), np.array(ages), np.array(rates))
@@ -293,17 +287,18 @@ def parse_table(text: str, fmt: str, sex: str = "total") -> RawMortalityTable:
     Parameters
     ----------
     text : str
-        Full file contents.
+        Full file contents; one leading byte-order mark is dropped.
     fmt : {"hmd_1x1", "csv"}
-        ``hmd_1x1``: whitespace columns Year, Age, Female, Male, Total with
-        header lines; age "110+" parses as 110; "." marks a missing cell.
-        ``csv``: header ``year,age,mx`` (or ``qx``), optionally with
-        both ``deaths`` and ``exposure`` columns.
+        ``hmd_1x1``: a preamble, then whitespace columns from the header
+        ``Year Age Female Male Total``; age "110+" parses as 110; "." marks
+        a missing cell. ``csv``: header ``year,age,mx`` (or ``qx``),
+        optionally with both ``deaths`` and ``exposure`` columns.
     sex : {"female", "male", "total"}
         Column selected from hmd_1x1 input; ignored for csv.
     """
     if fmt not in ("hmd_1x1", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
+    text = text.removeprefix("\ufeff")
     return _parse_hmd_1x1(text, sex) if fmt == "hmd_1x1" else _parse_csv(text)
 
 

@@ -40,6 +40,9 @@ LOG2PI = math.log(2.0 * math.pi)
 _LOG_BOUND = 230.0
 #: BFGS iterations per restart
 MAX_ITER = 500
+#: an accepted BFGS step gaining at most TOL * (1 + |LL|) is small; two in a
+#: row, or one at a small gradient, stop the ascent
+TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -281,7 +284,7 @@ def grad_loglik(y, beta, params: KernelParams, design: DesignSet) -> np.ndarray:
     return _evaluate(y, design, params).gradient(np.asarray(beta, float))
 
 
-def _bfgs_ascent(proj: _Projection, u0, free, tol):
+def _bfgs_ascent(proj: _Projection, u0, free):
     """Maximize the profile LL (beta solved exactly) over the log parameters
     from u0, moving those the boolean mask ``free`` selects; returns
     (evaluation, trace, converged, iters).
@@ -364,7 +367,7 @@ def _bfgs_ascent(proj: _Projection, u0, free, tol):
         dll = cand.ll - state.ll
         u, state, g = u_try, cand, g_new
         trace.append(state.ll)
-        small = abs(dll) <= tol * (1.0 + abs(state.ll))
+        small = abs(dll) <= TOL * (1.0 + abs(state.ll))
         if small:
             gnorm = float(np.max(np.abs(g))) if nfree else 0.0
             if last_small or gnorm <= 1e-3 * (1.0 + abs(state.ll)):
@@ -431,7 +434,6 @@ def fit(
     init: KernelParams | None = None,
     restarts: int = 3,
     seed: int = 0,
-    tol: float = 1e-8,
     free: np.ndarray | None = None,
 ) -> MixedFit:
     """Maximize the marginal log-likelihood and recover all effect estimates.
@@ -473,7 +475,7 @@ def fit(
     for run in range(restarts):
         u0 = np.log(_restart_init(base, run, seed).as_array())
         try:
-            state, trace, converged, iters = _bfgs_ascent(proj, u0, free, tol)
+            state, trace, converged, iters = _bfgs_ascent(proj, u0, free)
         except (FactorizationError, ValueError) as exc:
             failures.append(f"run {run}: {exc}")
             continue

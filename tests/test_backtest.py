@@ -354,10 +354,11 @@ class TestNonConvergedWindows:
                             models=("cbd",), workers=1)
         real_fit = bt.cbd_mod.fit_cbd
 
-        def stopped_fit(D, E, ages, years, **kw):
-            if years[-1] == 2005:
-                kw["max_sweeps"] = 1
-            return real_fit(D, E, ages, years, **kw)
+        def stopped_fit(D, E, ages, years):
+            with pytest.MonkeyPatch.context() as mp:
+                if years[-1] == 2005:
+                    mp.setattr(bt.cbd_mod, "MAX_SWEEPS", 1)
+                return real_fit(D, E, ages, years)
 
         monkeypatch.setattr(bt.cbd_mod, "fit_cbd", stopped_fit)
         report = run_backtest(plan, surface)
@@ -506,6 +507,9 @@ class TestPlanValidation:
         (dict(seed=-1), "seed must be"),
         (dict(models=()), "non-empty subset"),
         (dict(workers=0), "workers must be"),
+        (dict(horizons=()), "horizons must be positive"),
+        (dict(horizons=(0,)), "horizons must be positive"),
+        (dict(label="a\rb"), "label may not hold a carriage return"),
     ])
     def test_bad_policy_rejected(self, bad, match):
         with pytest.raises(ValueError, match=match):

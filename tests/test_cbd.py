@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -213,6 +214,11 @@ class TestKernelsAgainstScipy:
 
 
 class TestFitCbd:
+    def test_sweep_cap_is_a_module_constant(self):
+        # a test that stops a fit early patches cbd.MAX_SWEEPS, as it does cbd.TOL
+        assert "max_sweeps" not in inspect.signature(fit_cbd).parameters
+        assert cbd.MAX_SWEEPS == 1000
+
     def test_large_exposure_consistency(self):
         ages = np.arange(60, 70)
         years = np.arange(1990, 2020)
@@ -257,13 +263,15 @@ class TestFitCbd:
             )
             np.testing.assert_allclose(new_rates, rates, atol=1e-12)
 
-    def test_constraints_hold_after_every_sweep(self):
+    def test_constraints_hold_after_every_sweep(self, monkeypatch):
         ages = np.arange(60, 66)
         years = np.arange(2000, 2012)
         k1, k2, g3 = true_curves(ages, years)
         D, E = exact_counts(ages, years, k1, k2, g3, exposure=1e6)
         for sweeps in (1, 2, 5):
-            f = fit_cbd(D, E, ages, years, max_sweeps=sweeps)
+            monkeypatch.setattr(cbd, "MAX_SWEEPS", sweeps)
+            f = fit_cbd(D, E, ages, years)
+            assert f.n_sweeps == sweeps
             r1, r2 = f.constraint_residuals
             assert abs(r1) <= 1e-6 and abs(r2) <= 1e-6
 

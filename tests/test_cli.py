@@ -59,6 +59,19 @@ class TestFitCommand:
         assert doc["model"] == "cbd"
         assert abs(doc["constraint_residuals"][0]) <= 1e-6
 
+    @pytest.mark.parametrize("model", ["mixed", "cbd"])
+    def test_byte_order_mark_leaves_the_fit(self, data_csv, tmp_path, model):
+        # spreadsheet exports open a UTF-8 CSV with U+FEFF
+        marked = tmp_path / "marked.csv"
+        marked.write_text("\ufeff" + data_csv.read_text(), encoding="utf-8")
+        fits = []
+        for name, path in (("plain", data_csv), ("marked", marked)):
+            assert run_cli("fit", "--model", model, "--input", path, "--ages", "60:63",
+                           "--years", "1990:2009", "--restarts", "1",
+                           "--out", tmp_path / name) == EXIT_OK
+            fits.append((tmp_path / name / "fit.json").read_bytes())
+        assert fits[1] == fits[0]
+
     def test_cbd_fit_rejects_a_bad_count_cell(self, tmp_path, capsys):
         # the fit used to fall back to counts synthesized from the rates
         lines = ["year,age,mx,deaths,exposure"]
@@ -119,7 +132,8 @@ class TestFitCommand:
             "--ages", "60:63", "--years", "2006:1947", "--out", tmp_path,
         )
         assert code == EXIT_ERROR
-        assert "reversed" in capsys.readouterr().err
+        # data._axis is the one check, and it names the axis
+        assert "years range 2006:1947 is reversed" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code_still_writes(self, tmp_path):
         # exactly affine data sends sigma2 to its boundary; the likelihood
@@ -416,6 +430,7 @@ class TestBacktestCommand:
         (("--models", ""), "non-empty subset"),
         (("--horizons", "2,x"), "--horizons"),
         (("--seed", "-1"), "seed must be"),
+        (("--label", "a\rb"), "label may not hold a carriage return"),
     ])
     def test_usage_errors_exit_one_before_any_fit(self, data_csv, tmp_path, capsys,
                                                   flags, message):

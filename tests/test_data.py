@@ -70,6 +70,31 @@ class TestParseHmd:
         with pytest.raises(DuplicateCellError):
             parse_table(text, "hmd_1x1", sex="male")
 
+    def test_whole_sample_table(self, hmd_sample):
+        # the preamble and the blank line are skipped, the 110+ row is all "."
+        table = parse_table(hmd_sample, "hmd_1x1", sex="male")
+        assert table.years.tolist() == [1947, 1947, 1948, 1948, 1949, 1949]
+        assert table.ages.tolist() == [60, 61, 60, 61, 60, 61]
+        assert table.rates.tolist() == [0.03, 0.033, 0.029, 0.0321, 0.028, 0.031]
+
+    def test_table_starts_only_at_its_header(self, hmd_sample):
+        rows = [line for line in hmd_sample.splitlines() if line.split()[:1] != ["Year"]]
+        with pytest.raises(EmptyInputError, match="'Year Age Female Male Total' header"):
+            parse_table("\n".join(rows), "hmd_1x1", sex="male")
+        with pytest.raises(EmptyInputError, match="header"):
+            parse_table("1950 60 0.1 0.2 0.3\n", "hmd_1x1", sex="male")
+
+    def test_repeated_header_reports_its_line(self):
+        text = (
+            "Year Age Female Male Total\n"
+            "1950 60 0.1 0.2 0.3\n"
+            "Year Age Female Male Total\n"
+            "1950 61 0.1 0.2 0.3\n"
+        )
+        with pytest.raises(ParseError, match="bad year field 'Year'") as err:
+            parse_table(text, "hmd_1x1", sex="male")
+        assert err.value.line == 3
+
     def test_unknown_sex(self, hmd_sample):
         with pytest.raises(ValueError):
             parse_table(hmd_sample, "hmd_1x1", sex="unisex")
@@ -80,6 +105,18 @@ class TestParseCsv:
         table = parse_table("year,age,mx\n2000,60,0.02\n2000,61,0.03\n", "csv")
         assert table.rate_kind == "central"
         assert table.rates[table.lookup(2000, 61)] == 0.03
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", "year,age,mx,deaths,exposure\n2000,60,0.02,200,10000\n2000,61,0.03,300,10000\n"),
+        ("hmd_1x1", "Year Age Female Male Total\n2000 60 0.1 0.2 0.3\n"),
+    ], ids=["csv", "hmd_1x1"])
+    def test_byte_order_mark_dropped(self, fmt, text):
+        # spreadsheet exports open a UTF-8 file with U+FEFF; unstripped, it
+        # hides the first column name and the HMD header
+        plain, marked = parse_table(text, fmt), parse_table("\ufeff" + text, fmt)
+        for name in ("years", "ages", "rates", "deaths", "exposures"):
+            np.testing.assert_array_equal(getattr(marked, name), getattr(plain, name))
+        assert marked.rate_kind == plain.rate_kind
 
     def test_qx_variant(self):
         table = parse_table("year,age,qx\n2000,60,0.02\n", "csv")

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -124,17 +125,27 @@ class TestGradient:
         fd = fd_gradient(y, beta, p, d)
         np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-8)
 
-    def test_small_gradient_at_fitted_maximum(self, rng):
+    def test_small_gradient_at_fitted_maximum(self, rng, monkeypatch):
+        import mortcast.mixed as mixed_mod
+
+        monkeypatch.setattr(mixed_mod, "TOL", 1e-11)
         d = build_design(range(60, 64), range(1995, 2007))
         true = KernelParams(h1=0.4, l1=16.0, h2=0.05, l2=16.0, c=0.25, s=30.0,
                             sigma2=0.04)
         y = simulate(d, true, [-3.0, -0.04], rng)
-        f = fit(y, d, restarts=1, tol=1e-11)
+        f = fit(y, d, restarts=1)
         g = grad_loglik(y, f.fixed.beta, f.params, d)
         assert np.linalg.norm(g) <= 1e-4 * (1.0 + abs(f.loglik))
 
 
 class TestFit:
+    def test_stop_tolerance_is_a_module_constant(self):
+        # a reference fit patches mixed.TOL; no caller passes a tolerance
+        import mortcast.mixed as mixed_mod
+
+        assert "tol" not in inspect.signature(fit).parameters
+        assert mixed_mod.TOL == 1e-8
+
     def test_noiseless_affine_data(self):
         d = build_design([60, 61, 62], range(2000, 2008))
         beta = np.array([-2.5, -0.07])
