@@ -4,8 +4,9 @@ A mixed-model artifact stores the fitted hyperparameters plus the exact
 training window and observations. Loading evaluates the model at those
 hyperparameters once (one projection and one factorization, no optimizer
 run), and the loaded fit derives its effects and forecasts from that
-evaluation, as the fit did. A CBD artifact stores the parameter curves
-directly. Floats serialize with round-trip precision.
+evaluation, as the fit did. A CBD artifact stores the parameter curves;
+loading derives ``x_bar`` and ``included`` from the window, as the fit did,
+and does not read them. Floats serialize with round-trip precision.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cbd import CbdFit
+from .cbd import CbdFit, fitted_cohorts
 from .data import _axis, cohort_labels
 from .design import KernelParams, build_design
 from .mixed import MixedFit, _evaluate, stack_grid, unstack_vector
@@ -113,8 +114,8 @@ def _dict_to_cbd(doc: dict, ages, years) -> CbdFit:
         kappa2=np.asarray(_read(doc, "kappa2", years.size), dtype=float),
         gamma3=np.asarray(_read(doc, "gamma3", cohorts.size), dtype=float),
         cohorts=cohorts,
-        included=np.asarray(_read(doc, "included", cohorts.size), dtype=bool),
-        x_bar=float(_read(doc, "x_bar")),
+        included=fitted_cohorts(ages, years),
+        x_bar=float(np.mean(ages)),
         loglik=float(_read(doc, "loglik")),
         loglik_trace=np.asarray(_read(doc, "loglik_trace", None), dtype=float),
         constraint_residuals=tuple(_read(doc, "constraint_residuals", 2)),

@@ -178,6 +178,14 @@ def _cell_terms(eta, wD, wE):
     return rate, U, H
 
 
+def fitted_cohorts(ages, years) -> np.ndarray:
+    """Mask over ``cohort_labels(ages, years)`` of the cohorts a fit on this
+    window uses: those observed in at least ``MIN_COHORT_CELLS`` cells."""
+    cohorts = cohort_labels(ages, years)
+    cells = np.bincount(cohort_cols(ages, years, cohorts).ravel(), minlength=cohorts.size)
+    return cells >= MIN_COHORT_CELLS
+
+
 def fit_cbd(D, E, ages, years) -> CbdFit:
     """Maximize the Poisson log-likelihood by blockwise Newton sweeps.
 
@@ -204,8 +212,7 @@ def fit_cbd(D, E, ages, years) -> CbdFit:
 
     cohorts = cohort_labels(ages, years)
     cols = cohort_cols(ages, years, cohorts)
-    counts = np.bincount(cols.ravel(), minlength=cohorts.size)
-    included = counts >= MIN_COHORT_CELLS
+    included = fitted_cohorts(ages, years)
     if not np.any(included):
         raise ValueError(
             f"no cohort reaches {MIN_COHORT_CELLS} observed cells; grid too small"

@@ -1,10 +1,11 @@
 """Command-line entry point: fit, forecast and backtest as reproducible runs.
 
-Every command writes ``run_config.json`` next to its outputs; ``--config
-run_config.json`` alone reproduces them byte for byte on the same BLAS
-library and BLAS thread count. Machine-readable files carry round-trip float
-precision; the stdout summary rounds to 4 decimals. Exit codes: 0 success, 1
-usage or data error, 2 numerical non-convergence (artifacts are still written).
+Every command writes ``run_config.json`` next to its outputs; ``mortcast rerun
+run_config.json`` repeats that run from the whole file, byte for byte on the
+same BLAS library and BLAS thread count. Machine-readable files carry
+round-trip float precision; the stdout summary rounds to 4 decimals. Exit
+codes: 0 success, 1 usage or data error, 2 numerical non-convergence
+(artifacts are still written).
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         doc = json.loads(text)
-        if not isinstance(doc, dict) or "command" not in doc:
-            raise UsageError("a run config is a JSON object with a 'command' key")
+        if not isinstance(doc, dict):
+            raise UsageError("a run config is a JSON object")
         for key, value in RETIRED_SETTINGS.items():
             saved = doc.pop(key, value)
             if saved != value:
@@ -89,12 +90,18 @@ class RunConfig:
         unknown = sorted(set(doc) - set(known))
         if unknown:
             raise UsageError(f"unknown config field(s): {unknown}")
+        missing = [name for name in known if name not in doc]
+        if missing:
+            raise UsageError(f"config lacks field(s): {missing}")
         # JSON has no tuples, and the list-valued fields are the tuple ones
         doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
         hints = typing.get_type_hints(cls)
         for key, value in doc.items():
             if not _typed(value, hints[key]):
                 raise UsageError(f"config {key} {value!r} is not {known[key]}")
+        if doc["command"] not in ("fit", "forecast", "backtest"):
+            raise UsageError(f"config 'command' {doc['command']!r} is not "
+                             "fit, forecast or backtest")
         return cls(**doc)
 
 
@@ -155,23 +162,19 @@ def _parser() -> argparse.ArgumentParser:
             "(default 1e-6 when the flag is given without a value)",
         )
 
-    def add_common(sp):
-        sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--config", help="re-run from a saved run_config.json")
-
     f = sub.add_parser("fit", help="fit one model on a training window")
     add_data_flags(f)
     f.add_argument("--model", choices=["mixed", "cbd"], default="mixed")
     f.add_argument("--restarts", type=int, default=3)
     f.add_argument("--seed", type=int, default=0)
-    add_common(f)
+    f.add_argument("--out", default=".", help="output directory")
 
     fc = sub.add_parser("forecast", help="forecast from a saved fit artifact")
     fc.add_argument("--fit", dest="fit_path", help="path to fit.json")
     fc.add_argument("--horizon", type=int)
     fc.add_argument("--alpha", type=float, default=0.05)
     fc.set_defaults(model=None)  # the artifact's tag decides the model
-    add_common(fc)
+    fc.add_argument("--out", default=".", help="output directory")
 
     b = sub.add_parser("backtest", help="rolling-window evaluation")
     add_data_flags(b)
@@ -182,29 +185,11 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--restarts", type=int, default=1)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--label", default="dataset")
-    add_common(b)
+    b.add_argument("--out", default=".", help="output directory")
+
+    r = sub.add_parser("rerun", help="repeat the run a saved run_config.json names")
+    r.add_argument("run_config", help="path to run_config.json")
     return p
-
-
-def _config_from_args(args: argparse.Namespace, argv: list[str]) -> RunConfig:
-    if getattr(args, "config", None):
-        # every option is a long flag, so the "--" tokens are the flags given
-        # (the prefix test passes argparse's abbreviations of --config)
-        others = [f for f in (a.split("=")[0] for a in argv if a.startswith("--"))
-                  if not "--config".startswith(f)]
-        if others:
-            raise UsageError("--config takes no other flag; also given: "
-                             + " ".join(others))
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        cfg = RunConfig.from_json(path.read_text())
-        if cfg.command != args.command:
-            raise UsageError(f"{path} reruns 'mortcast {cfg.command}', not "
-                             f"'mortcast {args.command}'")
-        return cfg
-    return RunConfig(**{f.name: getattr(args, f.name)
-                        for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
 def _load_surface(cfg: RunConfig):
@@ -332,15 +317,17 @@ def cmd_backtest(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
-        cfg = _config_from_args(args, argv)  # cfg.command is args.command
+        if args.command == "rerun":
+            cfg = RunConfig.from_json(Path(args.run_config).read_text())
+        else:
+            cfg = RunConfig(**{f.name: getattr(args, f.name)
+                               for f in fields(RunConfig) if hasattr(args, f.name)})
         run = {"fit": cmd_fit, "forecast": cmd_forecast, "backtest": cmd_backtest}
         return run[cfg.command](cfg)
     except (MortcastError, ValueError, OSError) as exc:

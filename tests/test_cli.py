@@ -12,6 +12,7 @@ from conftest import make_surface, surface_to_mx_csv
 
 import mortcast
 from mortcast import artifacts
+from mortcast import cbd as cbd_mod
 from mortcast.cli import EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, RunConfig, main
 from mortcast.data import initial_to_central, inverse_logit
 from mortcast.design import build_design
@@ -126,6 +127,25 @@ class TestFitCommand:
         assert code == EXIT_ERROR
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_ages_not_a_range(self, data_csv, tmp_path, capsys):
+        code = run_cli("fit", "--input", data_csv, "--ages", "abc", "--years",
+                       "1990:2009", "--out", tmp_path / "run")
+        assert code == EXIT_ERROR
+        assert "--ages: expects LO:HI, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("drop, message", [
+        ("--input", "--input is required"),
+        ("--years", "--ages and --years are required"),
+    ])
+    def test_window_flags_are_required(self, data_csv, tmp_path, capsys, drop, message):
+        flags = {"--input": data_csv, "--ages": "60:63", "--years": "1990:2009",
+                 "--out": tmp_path / "run"}
+        code = run_cli("fit", *(a for k, v in flags.items() if k != drop for a in (k, v)))
+        assert code == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_reversed_year_range(self, data_csv, tmp_path, capsys):
         code = run_cli(
             "fit", "--input", data_csv, "--format", "csv",
@@ -176,7 +196,7 @@ class TestFitCommand:
             "--out", out,
         )
         first = (out / "fit.json").read_bytes()
-        code = run_cli("fit", "--config", out / "run_config.json")
+        code = run_cli("rerun", out / "run_config.json")
         assert code == EXIT_OK
         assert (out / "fit.json").read_bytes() == first
 
@@ -297,18 +317,15 @@ class TestForecastCommand:
 
     @pytest.mark.parametrize("key, value, message", [
         ("n_sweeps", None, "n_sweeps None is not int"),
-        ("x_bar", [1], "x_bar [1] is not float"),
         ("kappa1", {}, "kappa1 {} is not float[20]"),
         ("constraint_residuals", 5, "constraint_residuals 5 is not float[2]"),
         ("gamma3", 5, "gamma3 5 is not float[23]"),
-        ("included", [1], "included [1] is not float[23]"),
         ("converged", 1, "converged 1 is not bool"),
         ("loglik_trace", [], "loglik_trace [] is not float[1+]"),
         ("window", {"ages": [60, 63], "years": [2009, 1990]},
          "years range 2009:1990 is reversed"),
-    ], ids=["n_sweeps-null", "x_bar-list", "kappa1-object", "residuals-int",
-            "gamma3-int", "included-short", "converged-int", "trace-empty",
-            "window-reversed"])
+    ], ids=["n_sweeps-null", "kappa1-object", "residuals-int", "gamma3-int",
+            "converged-int", "trace-empty", "window-reversed"])
     def test_malformed_cbd_artifact_exits_one(self, cbd_fit_dir, tmp_path, capsys,
                                               key, value, message):
         doc = json.loads((cbd_fit_dir / "fit.json").read_text())
@@ -319,6 +336,25 @@ class TestForecastCommand:
         assert code == EXIT_ERROR
         assert message in capsys.readouterr().err
         assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("x_bar", 0.0), ("x_bar", [1]), ("included", [1]), ("included", [0.5] * 23),
+    ], ids=["x_bar-zero", "x_bar-list", "included-short", "included-half"])
+    def test_cbd_loader_derives_x_bar_and_included(self, cbd_fit_dir, tmp_path,
+                                                   key, value):
+        # both follow from the window, as in the fit; the artifact's copies are not read
+        doc = json.loads((cbd_fit_dir / "fit.json").read_text())
+        assert doc["x_bar"] == 61.5 and len(doc["included"]) == 23
+        outputs = []
+        for name, edited in (("saved", doc), ("edited", {**doc, key: value})):
+            path = tmp_path / name / "fit.json"
+            path.parent.mkdir()
+            path.write_text(json.dumps(edited))
+            assert run_cli("forecast", "--fit", path, "--horizon", "3",
+                           "--out", tmp_path / name) == EXIT_OK
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("forecast.csv", "plot_data.csv")])
+        assert outputs[1] == outputs[0]
 
     def test_q_mean_is_logistic_of_logit(self, fit_dir, tmp_path):
         out = tmp_path / "fc"
@@ -355,6 +391,20 @@ class TestForecastCommand:
         lines = (out / "plot_data.csv").read_text().strip().splitlines()
         ages = [int(l.split(",")[0]) for l in lines[1:]]
         assert ages == sorted(ages)
+
+    def test_fit_is_required(self, tmp_path, capsys):
+        code = run_cli("forecast", "--horizon", "2", "--out", tmp_path / "fc")
+        assert code == EXIT_ERROR
+        assert "--fit is required" in capsys.readouterr().err
+        assert not (tmp_path / "fc").exists()
+
+    def test_missing_fit_names_path(self, tmp_path, capsys):
+        code = run_cli("forecast", "--fit", tmp_path / "nope" / "fit.json", "--horizon",
+                       "2", "--out", tmp_path / "fc")
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "fit artifact not found" in err and "nope" in err
+        assert not (tmp_path / "fc").exists()
 
     def test_nonpositive_horizon(self, fit_dir, tmp_path):
         assert (
@@ -402,8 +452,28 @@ class TestBacktestCommand:
         ]
         assert run_cli(*args) == EXIT_OK
         first = (out / "report.csv").read_bytes()
-        assert run_cli("backtest", "--config", out / "run_config.json") == EXIT_OK
+        assert run_cli("rerun", out / "run_config.json") == EXIT_OK
         assert (out / "report.csv").read_bytes() == first
+
+    def test_failed_window_is_a_warning(self, data_csv, tmp_path, capsys, monkeypatch):
+        fit_cbd = cbd_mod.fit_cbd
+
+        def flaky_fit(D, E, ages, years):
+            if years[-1] == 2009:
+                raise ValueError("no convergence in this window")
+            return fit_cbd(D, E, ages, years)
+
+        monkeypatch.setenv("MORTCAST_THREADS", "1")  # fits run in this process
+        monkeypatch.setattr(cbd_mod, "fit_cbd", flaky_fit)
+        code = run_cli("backtest", "--input", data_csv, "--ages", "60:63", "--years",
+                       "1990:2012", "--horizons", "2", "--windows", "2", "--models", "cbd",
+                       "--out", tmp_path)
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert "WARNING: 1 window(s) excluded after fit failures" in err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["failures"] == ["cbd h=2 window=0 (train to 2009): "
+                                      "ValueError: no convergence in this window"]
 
     def test_infeasible_plan_exits_one(self, data_csv, tmp_path, capsys):
         code = run_cli(
@@ -462,7 +532,7 @@ class TestRunConfig:
         cfg = json.loads(RunConfig(command="fit").to_json())
         path = tmp_path / "run_config.json"
         path.write_text(json.dumps({**cfg, "var_beta": "scaled"}))
-        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert run_cli("rerun", path) == EXIT_ERROR
         assert "var_beta" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
@@ -478,14 +548,14 @@ class TestRunConfig:
         # a config saved at the old default still reruns its fit byte for byte
         (out / "fit.json").unlink()
         (out / "run_config.json").write_text(json.dumps({**cfg, "synth_exposure": 100000.0}))
-        assert run_cli("fit", "--config", out / "run_config.json") == EXIT_OK
+        assert run_cli("rerun", out / "run_config.json") == EXIT_OK
         assert (out / "fit.json").read_bytes() == first
         # any other level named a run that can no longer be reproduced
         path = tmp_path / "other.json"
         other = tmp_path / "c"
         path.write_text(json.dumps({**cfg, "out": str(other), "synth_exposure": 1000.0}))
         capsys.readouterr()
-        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert run_cli("rerun", path) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "synth_exposure 1000.0" in err and "retired at 100000.0" in err
         assert not other.exists()
@@ -503,14 +573,14 @@ class TestRunConfig:
         # a config saved while the flag existed reruns its fit byte for byte
         (out / "fit.json").unlink()
         (out / "run_config.json").write_text(json.dumps({**cfg, "dump_matrices": False}))
-        assert run_cli("fit", "--config", out / "run_config.json") == EXIT_OK
+        assert run_cli("rerun", out / "run_config.json") == EXIT_OK
         assert (out / "fit.json").read_bytes() == first
         # one that asked for the matrices names a run that is gone
         path = tmp_path / "dump.json"
         other = tmp_path / "c"
         path.write_text(json.dumps({**cfg, "out": str(other), "dump_matrices": True}))
         capsys.readouterr()
-        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert run_cli("rerun", path) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "dump_matrices true" in err and "retired at false" in err
         assert not other.exists()
@@ -534,7 +604,7 @@ class TestRunConfig:
         # a config saved while the flag existed reruns its fit byte for byte
         (out / "fit.json").unlink()
         (out / "run_config.json").write_text(json.dumps({**cfg, "split_year": None}))
-        assert run_cli("fit", "--config", out / "run_config.json") == EXIT_OK
+        assert run_cli("rerun", out / "run_config.json") == EXIT_OK
         assert (out / "fit.json").read_bytes() == first
         # one that split its window names a run --years LO:Y now states
         path = tmp_path / "split.json"
@@ -542,7 +612,7 @@ class TestRunConfig:
         path.write_text(json.dumps({**cfg, "out": str(other), "years": [1990, 2012],
                                     "split_year": 2005}))
         capsys.readouterr()
-        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert run_cli("rerun", path) == EXIT_ERROR
         err = capsys.readouterr().err
         assert "split_year 2005" in err and "retired at null" in err
         assert not other.exists()
@@ -564,7 +634,7 @@ class TestRunConfig:
         # a config saved with the tag reruns: the value is not read
         (out / "forecast.csv").unlink()
         (out / "run_config.json").write_text(json.dumps({**cfg, "model": "mixed"}))
-        assert run_cli("forecast", "--config", out / "run_config.json") == EXIT_OK
+        assert run_cli("rerun", out / "run_config.json") == EXIT_OK
         assert (out / "forecast.csv").read_bytes() == first
 
     @pytest.mark.parametrize("command", ["fit", "forecast", "backtest"])
@@ -592,32 +662,17 @@ class TestRunConfig:
         for name in outputs:
             (out / name).unlink()
         (out / "run_config.json").write_text(json.dumps({**cfg, "rw_divisor": "n"}))
-        assert run_cli(command, "--config", out / "run_config.json") == EXIT_OK
+        assert run_cli("rerun", out / "run_config.json") == EXIT_OK
         assert [(out / name).read_bytes() for name in outputs] == first
         # one that chose the other denominator names a run that is gone
         path = tmp_path / "unbiased.json"
         other = tmp_path / "c"
         path.write_text(json.dumps({**cfg, "out": str(other), "rw_divisor": "n-1"}))
         capsys.readouterr()
-        assert run_cli(command, "--config", path) == EXIT_ERROR
+        assert run_cli("rerun", path) == EXIT_ERROR
         err = capsys.readouterr().err
         assert 'rw_divisor "n-1"' in err and 'retired at "n"' in err
         assert not other.exists()
-
-    def test_config_reruns_only_its_own_command(self, fit_dir, tmp_path, capsys):
-        saved = (fit_dir / "fit.json").read_bytes()
-        code = run_cli("forecast", "--config", fit_dir / "run_config.json")
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert "'mortcast fit'" in err and "'mortcast forecast'" in err
-        assert (fit_dir / "fit.json").read_bytes() == saved
-        assert not (fit_dir / "forecast.csv").exists()
-        path = tmp_path / "run_config.json"
-        path.write_text(RunConfig(command="backtest", out=str(tmp_path / "bt")).to_json())
-        assert run_cli("fit", "--config", path) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert "'mortcast backtest'" in err and "'mortcast fit'" in err
-        assert not (tmp_path / "bt").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("5", "JSON object"),
@@ -627,7 +682,7 @@ class TestRunConfig:
     def test_malformed_config_exits_one(self, tmp_path, capsys, text, message):
         path = tmp_path / "run_config.json"
         path.write_text(text)
-        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert run_cli("rerun", path) == EXIT_ERROR
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
@@ -639,7 +694,7 @@ class TestRunConfig:
         cfg = json.loads((fit_dir / "run_config.json").read_text())
         path = tmp_path / "run_config.json"
         path.write_text(json.dumps({**cfg, key: value, "out": str(tmp_path / "out")}))
-        assert run_cli("fit", "--config", path) == EXIT_ERROR
+        assert run_cli("rerun", path) == EXIT_ERROR
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -650,15 +705,61 @@ class TestRunConfig:
         saved = (first / "forecast.csv").read_bytes()
         (first / "forecast.csv").unlink()
         config = first / "run_config.json"
-        code = run_cli("forecast", "--config", config, "--out", tmp_path / "b",
-                       "--horizon", "5")
+        code = run_cli("rerun", config, "--out", tmp_path / "b", "--horizon", "5")
         assert code == EXIT_ERROR
-        assert "also given: --out --horizon" in capsys.readouterr().err
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
         assert not (first / "forecast.csv").exists()
         assert not (tmp_path / "b").exists()
-        # alone, in either spelling, it reruns the saved run
-        assert run_cli("forecast", f"--config={config}") == EXIT_OK
+        # alone, it reruns the saved run
+        assert run_cli("rerun", config) == EXIT_OK
         assert (first / "forecast.csv").read_bytes() == saved
+
+    @pytest.mark.parametrize("command", ["fit", "forecast", "backtest"])
+    def test_config_flag_is_gone(self, fit_dir, tmp_path, capsys, command):
+        # the saved config names its command, so `rerun` is the one way to repeat it
+        cfg = json.loads((fit_dir / "run_config.json").read_text())
+        path = tmp_path / "run_config.json"
+        path.write_text(json.dumps({**cfg, "out": str(tmp_path / "out")}))
+        assert run_cli(command, "--config", path) == EXIT_ERROR
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [None, "rerun", "arima"],
+                             ids=["missing", "rerun", "arima"])
+    def test_config_command_must_be_a_command(self, fit_dir, tmp_path, capsys, command):
+        cfg = {**json.loads((fit_dir / "run_config.json").read_text()),
+               "out": str(tmp_path / "out"), "command": command}
+        if command is None:
+            del cfg["command"]
+        path = tmp_path / "run_config.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("rerun", path) == EXIT_ERROR
+        assert "'command'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_is_read_whole(self, data_csv, tmp_path, capsys):
+        # a missing key is an error, not RunConfig's default: that default is
+        # not always the flag's (restarts 3 against backtest's 1, ages None
+        # against 60:89)
+        out = tmp_path / "bt"
+        assert run_cli("backtest", "--input", data_csv, "--ages", "60:63", "--years",
+                       "1990:2012", "--horizons", "2", "--windows", "2", "--models",
+                       "cbd", "--out", out) == EXIT_OK
+        cfg = json.loads((out / "run_config.json").read_text())
+        assert cfg["restarts"] == 1
+        path = tmp_path / "run_config.json"
+        for drop in (["restarts"], ["ages", "seed"]):
+            kept = {k: v for k, v in cfg.items() if k not in drop}
+            path.write_text(json.dumps({**kept, "out": str(tmp_path / "c")}))
+            assert run_cli("rerun", path) == EXIT_ERROR
+            assert f"config lacks field(s): {drop}" in capsys.readouterr().err
+            assert not (tmp_path / "c").exists()
+        # every config the CLI writes holds every field
+        assert sorted(cfg) == sorted(json.loads(RunConfig(command="fit").to_json()))
+
+    def test_missing_config_file_names_it(self, tmp_path, capsys):
+        assert run_cli("rerun", tmp_path / "nope.json") == EXIT_ERROR
+        assert "nope.json" in capsys.readouterr().err
 
     def test_bad_thread_env_exits_one_naming_it(self, data_csv, tmp_path,
                                                 monkeypatch, capsys):

@@ -95,6 +95,15 @@ class TestParseHmd:
             parse_table(text, "hmd_1x1", sex="male")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("row, message", [
+        ("1950 6x 0.1 0.2 0.3", "bad age field '6x'"),
+        ("1950 60 0.1 n/a 0.3", "bad rate field 'n/a'"),
+    ], ids=["age", "rate"])
+    def test_bad_field_reports_its_line(self, row, message):
+        text = f"Year Age Female Male Total\n1950 61 0.1 0.2 0.3\n{row}\n"
+        with pytest.raises(ParseError, match=f"line 3: {message}"):
+            parse_table(text, "hmd_1x1", sex="male")
+
     def test_unknown_sex(self, hmd_sample):
         with pytest.raises(ValueError):
             parse_table(hmd_sample, "hmd_1x1", sex="unisex")
@@ -142,6 +151,19 @@ class TestParseCsv:
     def test_missing_rate_column(self):
         with pytest.raises(ParseError, match="mx"):
             parse_table("year,age,rate\n2000,60,0.02\n", "csv")
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("age,mx\n60,0.02\n", ParseError, r"line 1: missing required column\(s\) \['year'\]"),
+        ("year,mx\n2000,0.02\n", ParseError, r"line 1: missing required column\(s\) \['age'\]"),
+        ("year,age,mx\n2000,60,0.02\n2000,61\n", ParseError, "line 3: expected 3 fields, got 2"),
+        ("year,age,mx\n2000,60,0.02\n2000,61,abc\n", ParseError,
+         "line 3: could not convert string to float: 'abc'"),
+        ("year,age,mx\n", EmptyInputError, "no data rows found"),
+        ("", EmptyInputError, "no data rows found"),
+    ], ids=["no-year", "no-age", "field-count", "number", "header-only", "empty"])
+    def test_malformed_text_is_named(self, text, error, message):
+        with pytest.raises(error, match=message):
+            parse_table(text, "csv")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ backtest and to the CLI's CSV reader. Each run goes through the stock
 optimizer, so a relation also checks that the stop lands on the same
 iteration."""
 
+import json
 import math
 
 import numpy as np
@@ -190,3 +191,26 @@ def test_row_and_column_order_leave_the_fit(surface, tmp_path, model):
                      "--years", "1985:2002", "--restarts", "1", "--out", str(out)]) == EXIT_OK
         fits.append((out / "fit.json").read_bytes())
     assert fits[1] == fits[0] and fits[2] == fits[0]
+
+
+def test_row_and_column_order_leave_the_backtest_reports(surface, tmp_path, monkeypatch):
+    monkeypatch.setenv("MORTCAST_THREADS", "1")
+    n = surface.q.size
+    columns = ["year", "age", "mx", "deaths", "exposure"]
+    tables = {
+        "plain": _table(surface, columns, range(n)),
+        "shuffled": _table(surface, columns, np.random.default_rng(9).permutation(n)),
+        "reordered": _table(surface, ["deaths", "year", "exposure", "age", "mx"], range(n)),
+    }
+    reports = []
+    for name, text in tables.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        out = tmp_path / name
+        assert main(["backtest", "--input", str(path), "--ages", "60:69", "--years",
+                     "1985:2008", "--horizons", "2,3", "--windows", "2", "--restarts", "1",
+                     "--out", str(out)]) == EXIT_OK
+        reports.append([(out / f"report.{ext}").read_bytes() for ext in ("csv", "json", "md")])
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    report = json.loads(reports[0][1])
+    assert not report["failures"] and {r["model"] for r in report["results"]} == {"mixed", "cbd"}
