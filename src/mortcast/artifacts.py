@@ -14,13 +14,15 @@ from __future__ import annotations
 import json
 import reprlib
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cbd import CbdFit, fitted_cohorts
 from .data import _axis, cohort_labels
-from .design import KernelParams, build_design
-from .mixed import MixedFit, _evaluate, stack_grid, unstack_vector
+
+if TYPE_CHECKING:
+    from .cbd import CbdFit
+    from .mixed import MixedFit
 
 SCHEMA_VERSION = 1
 
@@ -33,13 +35,14 @@ def _window(ages, years) -> dict:
 
 
 def _mixed_to_dict(fit: MixedFit) -> dict:
+    from .mixed import unstack_vector
     d = fit.design
     y_grid = unstack_vector(fit.y, d.n_train, d.n_ages)
     return {
         "schema_version": SCHEMA_VERSION,
-        "model": "mixed",
+        "model": fit.MODEL,
         "window": _window(d.ages, d.train_years),
-        "params": {name: getattr(fit.params, name) for name in KernelParams.NAMES},
+        "params": {name: getattr(fit.params, name) for name in fit.params.NAMES},
         "beta": fit.fixed.beta.tolist(),
         "cov_beta": fit.fixed.cov_beta.tolist(),
         "gamma1": fit.random.gamma1.tolist(),
@@ -60,7 +63,7 @@ def _mixed_to_dict(fit: MixedFit) -> dict:
 def _cbd_to_dict(fit: CbdFit) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "model": "cbd",
+        "model": fit.MODEL,
         "window": _window(fit.ages, fit.years),
         "kappa1": fit.kappa1.tolist(),
         "kappa2": fit.kappa2.tolist(),
@@ -94,6 +97,8 @@ def _fits(value, shape, types) -> bool:
 
 
 def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
+    from .design import KernelParams, build_design
+    from .mixed import MixedFit, _evaluate, stack_grid
     params = _read(doc, "params", kind=dict)
     y = stack_grid(np.asarray(_read(doc, "y", years.size, ages.size), dtype=float))
     return MixedFit(
@@ -106,6 +111,7 @@ def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
 
 
 def _dict_to_cbd(doc: dict, ages, years) -> CbdFit:
+    from .cbd import CbdFit, fitted_cohorts
     cohorts = cohort_labels(ages, years)
     return CbdFit(
         ages=ages,
@@ -126,12 +132,8 @@ def _dict_to_cbd(doc: dict, ages, years) -> CbdFit:
 
 def save_fit(fit: MixedFit | CbdFit, path) -> None:
     """Write either model's fit as its JSON artifact."""
-    if isinstance(fit, MixedFit):
-        doc = _mixed_to_dict(fit)
-    elif isinstance(fit, CbdFit):
-        doc = _cbd_to_dict(fit)
-    else:
-        raise TypeError(f"unsupported fit type {type(fit).__name__}")
+    # keyed on the fit's own tag, so a save never imports the other model
+    doc = {"mixed": _mixed_to_dict, "cbd": _cbd_to_dict}[fit.MODEL](fit)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

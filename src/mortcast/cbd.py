@@ -52,6 +52,7 @@ class CbdFit:
     convention and their cells carry no likelihood weight.
     """
 
+    MODEL = "cbd"  # the tag of the fit artifact and the CLI
     ages: np.ndarray
     years: np.ndarray
     kappa1: np.ndarray

@@ -32,13 +32,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from . import artifacts
-from . import cbd as cbd_mod
-from . import mixed as mixed_mod
+from . import artifacts  # each command imports the model it runs
 from .data import build_surface, inverse_logit, parse_table, window_counts
-from .design import build_design
-from .forecasts import normal_quantile
-from .mixed import MixedFit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,7 +41,8 @@ EXIT_NONCONVERGENCE = 2
 
 #: settings that saved configs may still hold, each at the one value that
 #: today's code reproduces; a config holding any other value cannot rerun
-RETIRED_SETTINGS = {"synth_exposure": cbd_mod.SYNTH_EXPOSURE, "dump_matrices": False,
+#: (synth_exposure is cbd.SYNTH_EXPOSURE, which a test holds it to)
+RETIRED_SETTINGS = {"synth_exposure": 1e5, "dump_matrices": False,
                     "split_year": None, "rw_divisor": "n"}
 
 
@@ -102,6 +98,8 @@ class RunConfig:
         if doc["command"] not in ("fit", "forecast", "backtest"):
             raise UsageError(f"config 'command' {doc['command']!r} is not "
                              "fit, forecast or backtest")
+        if doc["command"] == "fit" and doc["model"] not in ("mixed", "cbd"):
+            raise UsageError(f"config 'model' {doc['model']!r} is not mixed or cbd")
         return cls(**doc)
 
 
@@ -218,6 +216,8 @@ def cmd_fit(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     t0 = time.perf_counter()
     if cfg.model == "mixed":
+        from . import mixed as mixed_mod
+        from .design import build_design
         design = build_design(surface.ages, surface.years)
         fit = mixed_mod.fit(surface.y, design, restarts=cfg.restarts, seed=cfg.seed)
         summary = [
@@ -232,7 +232,8 @@ def cmd_fit(cfg: RunConfig) -> int:
         ]
         if fit.sigma2_boundary:
             summary.append("warning: sigma2 at its lower boundary")
-    else:
+    elif cfg.model == "cbd":
+        from . import cbd as cbd_mod
         D, E = counts or cbd_mod.synthesize_counts(surface.q)
         fit = cbd_mod.fit_cbd(D, E, surface.ages, surface.years)
         r1, r2 = fit.constraint_residuals
@@ -256,16 +257,18 @@ def cmd_forecast(cfg: RunConfig) -> int:
         raise UsageError("--fit is required")
     if cfg.horizon is None or cfg.horizon <= 0:
         raise UsageError("--horizon must be a positive integer")
+    from .forecasts import normal_quantile
     normal_quantile(cfg.alpha)  # rejects a bad --alpha before the artifact loads
     path = Path(cfg.fit_path)
     if not path.exists():
         raise MortcastError(f"fit artifact not found: {path}")
     fit = artifacts.load_fit(path)
-    tag = "mixed" if isinstance(fit, MixedFit) else "cbd"
-    if isinstance(fit, MixedFit):
-        fc = mixed_mod.forecast(fit, cfg.horizon)
+    if fit.MODEL == "mixed":
+        from .mixed import forecast
+        fc = forecast(fit, cfg.horizon)
     else:
-        fc = cbd_mod.forecast_cbd(fit, cbd_mod.estimate_rw(fit), cfg.horizon)
+        from .cbd import estimate_rw, forecast_cbd
+        fc = forecast_cbd(fit, estimate_rw(fit), cfg.horizon)
 
     # (year, age, mean, q, lo, hi) per cell, in (year, age) order
     years, ages = np.meshgrid(fc.years, fc.ages, indexing="ij")
@@ -285,7 +288,7 @@ def cmd_forecast(cfg: RunConfig) -> int:
     _write(out_dir, "plot_data.csv", plot)
     _write(out_dir, "run_config.json", cfg.to_json())
     print(
-        f"{tag} forecast: {fc.years.size} years x {fc.ages.size} ages "
+        f"{fit.MODEL} forecast: {fc.years.size} years x {fc.ages.size} ages "
         f"({len(rows)} rows) written to {out_dir / 'forecast.csv'}"
     )
     return EXIT_OK

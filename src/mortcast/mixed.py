@@ -78,6 +78,7 @@ class MixedFit:
     :func:`fit` never calls ``converged``, and ``fixed`` and ``random`` are
     its posterior, computed on first read."""
 
+    MODEL = "mixed"  # the tag of the fit artifact and the CLI
     evaluation: _Evaluation
     loglik_trace: np.ndarray
     converged: bool

@@ -13,7 +13,8 @@ from conftest import make_surface, surface_to_mx_csv
 import mortcast
 from mortcast import artifacts
 from mortcast import cbd as cbd_mod
-from mortcast.cli import EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, RunConfig, main
+from mortcast.cli import (EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, RETIRED_SETTINGS,
+                          RunConfig, main)
 from mortcast.data import initial_to_central, inverse_logit
 from mortcast.design import build_design
 from mortcast.mixed import MixedFit, fit, forecast
@@ -560,6 +561,11 @@ class TestRunConfig:
         assert "synth_exposure 1000.0" in err and "retired at 100000.0" in err
         assert not other.exists()
 
+    def test_retired_exposure_is_the_synthetic_exposure(self):
+        # the CLI states the value without importing cbd (TestImportHygiene);
+        # a saved config reruns only while the two agree
+        assert RETIRED_SETTINGS["synth_exposure"] == cbd_mod.SYNTH_EXPOSURE
+
     def test_dump_matrices_is_gone(self, data_csv, tmp_path, capsys):
         args = ("--input", data_csv, "--ages", "60:63", "--years", "1990:2000",
                 "--restarts", "1")
@@ -737,6 +743,18 @@ class TestRunConfig:
         assert "'command'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model", [None, "arima"], ids=["null", "arima"])
+    def test_fit_config_model_must_be_a_model(self, fit_dir, tmp_path, capsys, model):
+        # the flag's choices guard only the command line; such a config once
+        # fitted CBD and saved the bad value again
+        cfg = {**json.loads((fit_dir / "run_config.json").read_text()),
+               "out": str(tmp_path / "out"), "model": model}
+        path = tmp_path / "run_config.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("rerun", path) == EXIT_ERROR
+        assert f"config 'model' {model!r} is not mixed or cbd" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_is_read_whole(self, data_csv, tmp_path, capsys):
         # a missing key is an error, not RunConfig's default: that default is
         # not always the flag's (restarts 3 against backtest's 1, ages None
@@ -864,6 +882,53 @@ class TestImportHygiene:
         got = self._blas_vars_after_cli_import(OPENBLAS_NUM_THREADS="3",
                                                MORTCAST_THREADS="2")
         assert got == ["3", "1", "1"]
+
+    @staticmethod
+    def _run_fresh(code, *args):
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_loads_no_model(self):
+        self._run_fresh(
+            "import sys\n"
+            "import mortcast.cli\n"
+            "loaded = [m for m in ('mortcast.mixed', 'mortcast.design', 'mortcast.cbd',\n"
+            "                      'mortcast.forecasts', 'mortcast.backtest', 'logging')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, f'import mortcast.cli loaded {loaded}'\n"
+        )
+
+    def test_cli_and_backtest_load_every_traced_layer(self):
+        # perfbench/tracer.py wraps these layers' functions after importing
+        # mortcast.cli and mortcast.backtest, reading each from sys.modules
+        self._run_fresh(
+            "import sys\n"
+            "import mortcast.cli, mortcast.backtest\n"
+            "missing = [m for m in ('data', 'design', 'mixed', 'cbd', 'artifacts',\n"
+            "                       'backtest') if f'mortcast.{m}' not in sys.modules]\n"
+            "assert not missing, f'layers not loaded: {missing}'\n"
+        )
+
+    @pytest.mark.parametrize("model, others", [
+        ("mixed", ["mortcast.cbd"]),
+        ("cbd", ["mortcast.mixed", "mortcast.design"]),
+    ], ids=["mixed", "cbd"])
+    def test_fit_and_forecast_load_only_their_model(self, data_csv, tmp_path,
+                                                      model, others):
+        self._run_fresh(
+            "import sys\n"
+            "from mortcast.cli import main\n"
+            "model, data, out, *others = sys.argv[1:]\n"
+            "assert main(['fit', '--model', model, '--input', data, '--ages', '60:63',\n"
+            "             '--years', '1990:2009', '--restarts', '1', '--out', out]) == 0\n"
+            "assert main(['forecast', '--fit', f'{out}/fit.json', '--horizon', '3',\n"
+            "             '--out', out]) == 0\n"
+            "loaded = [m for m in others if m in sys.modules]\n"
+            "assert not loaded, f'a {model} fit and forecast loaded {loaded}'\n",
+            model, data_csv, tmp_path, *others,
+        )
+        assert (tmp_path / "forecast.csv").exists()
 
     def test_fit_and_backtest_load_no_scipy(self):
         code = (
