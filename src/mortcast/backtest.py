@@ -184,7 +184,8 @@ def _resolve_workers(plan: BacktestPlan, n_tasks: int) -> int:
     text = os.environ.get("MORTCAST_THREADS", "")
     if text and not (text.strip().isdecimal() and int(text) > 0):
         raise UsageError(f"MORTCAST_THREADS must be a positive integer, got {text!r}")
-    cap = int(text) if text else os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may run on
+    cap = int(text) if text else len(affinity(0)) if affinity else os.cpu_count() or 1
     return min(plan.workers or n_tasks, cap, n_tasks)
 
 

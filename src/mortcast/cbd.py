@@ -115,7 +115,7 @@ def cbd_poisson_loglik(kappa1, kappa2, gamma3, ages, years, D, E, weights=None) 
         raise ValueError("non-finite linear predictor")
     w = 1.0 if weights is None else np.asarray(weights, dtype=float)
     log_factorials = np.sum(w * _log_factorial(D))
-    return _poisson_loglik(death_rate(eta), w * D, w * E, log_factorials)
+    return _poisson_loglik(death_rate(eta), w * D, w * E, log_factorials, 1.0 * (w * D == 0))
 
 
 def _log_factorial(D) -> np.ndarray:
@@ -125,18 +125,20 @@ def _log_factorial(D) -> np.ndarray:
     return np.fromiter(lg, float, D1.size).reshape(D1.shape)
 
 
-def _poisson_loglik(rate, wD, wE, log_factorials) -> float:
+def _poisson_loglik(rate, wD, wE, log_factorials, no_count) -> float:
     """Weighted Poisson log-likelihood from the cells' ``death_rate`` and
     weighted counts and exposures; ``log_factorials`` is the weighted sum
-    of log(D!), constant per fit.
+    of log(D!), constant per fit, as is ``no_count``, 1 where wD = 0 else 0.
 
     D log(mu) is taken as 0 where the weighted count is 0, as
-    lim_{D -> 0} D log(mu); that includes excluded cells, where mu = 0.
+    lim_{D -> 0} D log(mu); that includes excluded cells, where mu = 0. It
+    is 0 log(mu + 1) there, and mu + 0 = mu elsewhere: no masked log.
     """
     mu = wE * rate
     with np.errstate(divide="ignore"):  # mu = 0 under a count: LL = -inf, rejected
-        log_mu = np.log(mu, out=np.zeros_like(mu), where=wD != 0)
-    return float(np.sum(wD * log_mu - mu) - log_factorials)
+        t = np.log(mu + no_count)
+    t *= wD
+    return float(np.sum(np.subtract(t, mu, out=t)) - log_factorials)
 
 
 def transform_parameters(kappa1, kappa2, gamma3, phi1, phi2, ages, years):
@@ -168,14 +170,25 @@ def _cell_terms(eta, wD, wE):
     the underflow of m. H < 0 in exact arithmetic, so Newton steps are well
     defined; far below eta = -30 it can round to 0. The counts come
     weighted, so U and H are 0 off the fitted cohorts. Returns (m, U, H);
-    m is what :func:`_poisson_loglik` reads.
+    m is what :func:`_poisson_loglik` reads. A point whose every cell has
+    -30 <= eta < 0 (the usual ages) takes z = exp(eta), m = log1p(z),
+    sigma = z / (1 + z), r1 = sigma / m: bit-equal, as |eta|, max(eta, 0),
+    the sign and the substitution change no bit there.
     """
-    z = np.exp(-np.abs(eta))
-    rate = np.maximum(eta, 0.0) + np.log1p(z)
-    sig = np.where(eta >= 0, 1.0, z) / (1.0 + z)
-    r1 = np.where(eta < -30.0, 1.0, sig / np.maximum(rate, 1e-300))
-    U = wD * r1 - wE * sig
-    H = (1.0 - sig) * U - wD * r1**2
+    if -30.0 <= eta.min() and eta.max() < 0.0:
+        z = np.exp(eta)
+        rate = np.log1p(z)
+        sig = np.divide(z, 1.0 + z, out=z)
+        r1 = sig / rate
+    else:
+        z = np.exp(-np.abs(eta))
+        rate = np.maximum(eta, 0.0) + np.log1p(z)
+        sig = np.where(eta >= 0, 1.0, z) / (1.0 + z)
+        r1 = np.where(eta < -30.0, 1.0, sig / np.maximum(rate, 1e-300))
+    U = wD * r1
+    U -= wE * sig
+    H = np.multiply(np.subtract(1.0, sig, out=sig), U, out=sig)
+    H -= np.multiply(np.square(r1, out=r1), wD, out=r1)
     return rate, U, H
 
 
@@ -198,14 +211,16 @@ def fit_cbd(D, E, ages, years) -> CbdFit:
     zero likelihood weight and their gamma stays 0. A sweep that fails to
     improve the likelihood is retried with halved Newton steps.
 
-    Every point is evaluated by one cell kernel (:func:`_cell_terms`, one
-    exp per cell), which returns both what the likelihood check reads and
-    the cell derivatives. An accepted point's terms carry over from its
-    likelihood check into the next sweep's (kappa1, kappa2) step, which
-    damped retries reuse, so each try of a sweep evaluates two points:
-    after the kappa step and after the constraints. The constraint map's
-    regression of gamma on (1, cohort) is a 2 x c pseudo-inverse over the
-    fitted cohorts, formed once per fit.
+    Every point builds eta in place and is evaluated by one cell kernel
+    (:func:`_cell_terms`, one exp per cell), which returns both what the
+    likelihood check reads and the cell derivatives; the likelihood's
+    zero-count mask is formed once per fit. An accepted point's terms carry
+    over from its likelihood check into the next sweep's (kappa1, kappa2)
+    step, which damped retries reuse, so each try of a sweep evaluates two
+    points: after the kappa step and after the constraints. The constraint
+    map's regression of gamma on (1, cohort) is a 2 x c pseudo-inverse over
+    the fitted cohorts, formed once per fit. Every number is bit-equal to
+    the plain whole-array form of these steps.
     """
     ages = np.asarray(ages, dtype=int)
     years = np.asarray(years, dtype=int)
@@ -239,13 +254,16 @@ def fit_cbd(D, E, ages, years) -> CbdFit:
     gamma3 = np.zeros(cohorts.size)
 
     log_factorials = np.sum(w * _log_factorial(D))
+    no_count = 1.0 * (wD == 0)
 
     def evaluate(k1, k2, g3):
         """The rate and the weighted cell derivatives at one point."""
-        return _cell_terms(k1[:, None] + k2[:, None] * xw + g3[cols], wD, wE)
+        eta = k2[:, None] * xw
+        eta += k1[:, None]
+        return _cell_terms(np.add(eta, g3[cols], out=eta), wD, wE)
 
     rate, wU, wH = evaluate(kappa1, kappa2, gamma3)
-    ll = _poisson_loglik(rate, wD, wE, log_factorials)
+    ll = _poisson_loglik(rate, wD, wE, log_factorials, no_count)
     trace = [ll]
     converged = False
     sweeps = 0
@@ -274,7 +292,7 @@ def fit_cbd(D, E, ages, years) -> CbdFit:
             _, tU, tH = evaluate(k1, k2, gamma3)
             gsum = np.bincount(flat_cols, weights=tU.ravel(), minlength=cohorts.size)
             hsum = np.bincount(flat_cols, weights=tH.ravel(), minlength=cohorts.size)
-            g_fit = gamma3[fitted] + damping * (-gsum[fitted] / hsum[fitted])
+            g_fit = gamma3[fitted] - damping * (gsum[fitted] / hsum[fitted])
 
             phi1, phi2 = P @ g_fit
             k1 = k1 + (phi1 + phi2 * t_dev)
@@ -282,8 +300,8 @@ def fit_cbd(D, E, ages, years) -> CbdFit:
             g3 = np.zeros(cohorts.size)
             g3[fitted] = g_fit - (phi1 + phi2 * c_fit)
             rate, tU, tH = evaluate(k1, k2, g3)
-            ll_new = _poisson_loglik(rate, wD, wE, log_factorials)
-            if np.isfinite(ll_new) and ll_new >= ll - 1e-9:
+            ll_new = _poisson_loglik(rate, wD, wE, log_factorials, no_count)
+            if math.isfinite(ll_new) and ll_new >= ll - 1e-9:
                 accepted = True
                 break
             damping *= 0.5

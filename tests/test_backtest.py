@@ -164,6 +164,16 @@ class TestDeterminismAndParallel:
         plan = BacktestPlan(horizons=(2,), windows=2, models=("cbd",))
         assert bt._resolve_workers(plan, 8) == 1
 
+    def test_default_cap_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        # pinned to one CPU of a larger machine, one worker
+        monkeypatch.delenv("MORTCAST_THREADS", raising=False)
+        monkeypatch.setattr(bt.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(bt.os, "cpu_count", lambda: 8)
+        plan = BacktestPlan(horizons=(2,), windows=2, models=("cbd",))
+        assert bt._resolve_workers(plan, 8) == 1
+        monkeypatch.setenv("MORTCAST_THREADS", "3")  # an explicit cap still wins
+        assert bt._resolve_workers(plan, 8) == 3
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
     def test_bad_thread_env_is_a_usage_error(self, monkeypatch, value):
         monkeypatch.setenv("MORTCAST_THREADS", value)

@@ -349,6 +349,49 @@ class TestFitCbd:
         assert f.loglik == pytest.approx(ll, rel=1e-12, abs=0.0)
 
 
+def _cell_terms_reference(eta, wD, wE):
+    """The cell kernel's general form term by term: no branch on the data
+    and no in-place operation."""
+    z = np.exp(-np.abs(eta))
+    rate = np.maximum(eta, 0.0) + np.log1p(z)
+    sig = np.where(eta >= 0, 1.0, z) / (1.0 + z)
+    r1 = np.where(eta < -30.0, 1.0, sig / np.maximum(rate, 1e-300))
+    U = wD * r1 - wE * sig
+    H = (1.0 - sig) * U - wD * r1**2
+    return rate, U, H
+
+
+def _poisson_loglik_reference(rate, wD, wE, log_factorials):
+    """The weighted Poisson LL with a masked log: D log(mu) is 0 where the
+    weighted count is 0."""
+    mu = wE * rate
+    with np.errstate(divide="ignore"):
+        log_mu = np.log(mu, out=np.zeros_like(mu), where=wD != 0)
+    return float(np.sum(wD * log_mu - mu) - log_factorials)
+
+
+#: eta grids of the kernel's bit tests, 40 years x 25 ages each
+KERNEL_GRIDS = {
+    "within [-30, 0)": np.linspace(-29.5, -1e-3, 1000),
+    "crosses 0": np.linspace(-6.0, 4.0, 1000),
+    "reaches below -30": np.linspace(-800.0, -0.5, 1000),
+    "holds -30": np.r_[-30.0, np.linspace(-12.0, -0.01, 999)],
+    "holds 0": np.r_[np.linspace(-12.0, -0.01, 999), 0.0],
+}
+
+
+def _kernel_case(name):
+    """(eta, wD, wE, weights, D, E) on a 40 x 25 grid: Poisson counts, with
+    cells of no deaths and cells of zero weight."""
+    rng = np.random.default_rng(list(KERNEL_GRIDS).index(name))
+    eta = rng.permutation(KERNEL_GRIDS[name]).reshape(40, 25)
+    E = rng.uniform(10.0, 5e3, eta.shape)
+    D = rng.poisson(E * np.minimum(death_rate(eta), 1.0)).astype(float)
+    D[rng.random(eta.shape) < 0.1] = 0.0
+    w = (rng.random(eta.shape) > 0.15).astype(float)
+    return eta, w * D, w * E, w, D, E
+
+
 class TestCellKernel:
     """``_cell_terms`` takes one exp per cell for the rate and the logistic."""
 
@@ -362,6 +405,30 @@ class TestCellKernel:
         # with no deaths and unit exposure U = -sigma exactly
         _, U, _ = cbd._cell_terms(self.grid, np.zeros_like(self.grid), np.ones_like(self.grid))
         assert np.array_equal(-U, inverse_logit(self.grid))
+
+    @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+    def test_terms_are_the_general_form_bit_for_bit(self, name):
+        # the branch taken when every cell has -30 <= eta < 0 changes no bit
+        eta, wD, wE, *_ = _kernel_case(name)
+        for got, ref in zip(cbd._cell_terms(eta, wD, wE), _cell_terms_reference(eta, wD, wE)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+    def test_loglik_is_the_masked_log_form_bit_for_bit(self, name):
+        # cells with no deaths and cells of zero weight take D log(mu) = 0
+        eta, wD, wE, w, D, E = _kernel_case(name)
+        assert np.any((wD == 0) & (wE > 0)) and np.any(wE == 0)
+        rate = death_rate(eta)
+        lf = float(np.sum(w * _log_factorial(D)))
+        ref = _poisson_loglik_reference(rate, wD, wE, lf)
+        assert cbd._poisson_loglik(rate, wD, wE, lf, 1.0 * (wD == 0)) == ref
+        # cbd_poisson_loglik shares the kernel; curves at the grid's level
+        ages, years = np.arange(60, 85), np.arange(1980, 2020)
+        curves = (eta.mean(axis=1), np.full(years.size, 0.05),
+                  np.zeros(cohort_labels(ages, years).size))
+        rate = death_rate(linear_predictor(*curves, ages, years))
+        ll = cbd_poisson_loglik(*curves, ages, years, D, E, weights=w)
+        assert ll == _poisson_loglik_reference(rate, wD, wE, lf)
 
     @pytest.mark.parametrize("wD, wE", [(3.0, 50.0), (0.0, 50.0), (1e4, 1e5)])
     def test_far_negative_eta_stays_finite_and_concave(self, wD, wE):
