@@ -20,9 +20,9 @@ import numpy as np
 
 from . import cbd as cbd_mod
 from . import mixed as mixed_mod
-from .data import MortalitySurface
+from .data import MortalitySurface, synthesize_counts
 from .design import build_design
-from .errors import MortcastError, UsageError
+from .errors import MortcastError
 
 MODELS = ("mixed", "cbd")
 
@@ -54,7 +54,9 @@ class BacktestPlan:
     """What to backtest and with which policy knobs.
 
     ``ages``/``years`` are optional (lo, hi) windows; when set they must
-    match the surface handed to :func:`run_backtest`.
+    match the surface handed to :func:`run_backtest`. ``workers`` is the
+    number of worker processes (at most one per task); None means one per
+    CPU the process may run on.
     """
 
     label: str = "dataset"
@@ -80,6 +82,8 @@ class BacktestPlan:
         if not self.models or not set(self.models) <= set(MODELS):
             raise ValueError(f"models must be a non-empty subset of {MODELS}, "
                              f"got {self.models!r}")
+        if len(set(self.models)) != len(self.models):
+            raise ValueError(f"models must be distinct, got {self.models!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.seed < 0:
@@ -181,12 +185,9 @@ def _run_fit(surface, deaths, exposures, plan, model, train_end, served):
 
 
 def _resolve_workers(plan: BacktestPlan, n_tasks: int) -> int:
-    text = os.environ.get("MORTCAST_THREADS", "")
-    if text and not (text.strip().isdecimal() and int(text) > 0):
-        raise UsageError(f"MORTCAST_THREADS must be a positive integer, got {text!r}")
     affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may run on
-    cap = int(text) if text else len(affinity(0)) if affinity else os.cpu_count() or 1
-    return min(plan.workers or n_tasks, cap, n_tasks)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(plan.workers or cpus, n_tasks)
 
 
 def feasibility_start(years: np.ndarray, horizon: int, windows: int) -> int:
@@ -210,31 +211,28 @@ def feasibility_start(years: np.ndarray, horizon: int, windows: int) -> int:
 def run_backtest(
     plan: BacktestPlan,
     surface: MortalitySurface,
-    deaths: np.ndarray | None = None,
-    exposures: np.ndarray | None = None,
+    counts: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BacktestReport:
     """Fit-and-score every (model, horizon, window) combination.
 
     Tasks that share a training end-year share one fit: each model is fit
     once per distinct training end and forecast to the largest horizon that
     window serves, and every task it serves is scored from that forecast.
-    Fits are independent and run in parallel when more than one worker is
-    available (``MORTCAST_THREADS`` caps the count); results sort by
-    (model, horizon, window), so the report does not depend on scheduling.
+    Fits are independent and run in a process pool when the plan's
+    ``workers`` resolve to more than one; results sort by (model, horizon,
+    window), so the report does not depend on scheduling.
     Workers inherit the caller's BLAS threads: with several workers, pin
     BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) before numpy is
     imported, as the CLI does, or the workers oversubscribe the cores.
     Windows whose fit fails are excluded from the pooled average and listed
     in ``report.failures``; windows whose fit stopped without converging
     stay in the pooled average and are flagged per result (``converged``).
-    Without counts, the CBD fits read counts synthesized once from the
-    surface's rates by :func:`mortcast.cbd.synthesize_counts`.
+    ``counts`` is the (deaths, exposures) grid pair of
+    :func:`mortcast.data.window_counts`; without it, the CBD fits read counts
+    synthesized once from the rates by :func:`mortcast.data.synthesize_counts`.
     """
     plan.check_surface(surface)
-    if (deaths is None) != (exposures is None):
-        raise ValueError("provide deaths and exposures together or not at all")
-    if deaths is None:
-        deaths, exposures = cbd_mod.synthesize_counts(surface.q)
+    deaths, exposures = synthesize_counts(surface.q) if counts is None else counts
     if np.shape(deaths) != surface.q.shape or np.shape(exposures) != surface.q.shape:
         raise ValueError("deaths/exposures grids must match the surface")
 

@@ -8,7 +8,8 @@ one exp per cell for both m and the logistic. The cohort series is pinned
 down by the two identifiability constraints sum(gamma) = 0 and
 sum((t-x) * gamma) = 0 over the fitted cohort set, re-imposed after every
 sweep through the likelihood-invariant reparameterization, whose
-regression on (1, cohort) is formed once per fit.
+regression on (1, cohort) is formed once per fit. Rates-only sources are
+fit on the counts :func:`mortcast.data.synthesize_counts` makes.
 
 Forecasting is the classical two-step approach: a bivariate random walk
 with drift for (kappa1, kappa2) and a univariate one for the cohort
@@ -27,7 +28,6 @@ from .data import (
     checked_counts,
     cohort_cols,
     cohort_labels,
-    initial_to_central,
     logit,
 )
 from .forecasts import Forecast
@@ -38,9 +38,6 @@ MIN_COHORT_CELLS = 3
 #: unconverged after MAX_SWEEPS
 TOL = 1e-8
 MAX_SWEEPS = 1000
-#: flat exposure of counts synthesized from rates: the Poisson LL is then
-#: E * sum(m log mu - mu) + const, so the level cannot move its maximum
-SYNTH_EXPOSURE = 1e5
 
 
 @dataclass(frozen=True)
@@ -389,15 +386,3 @@ def forecast_cbd(fit: CbdFit, drift: RwDrift, horizon: int) -> Forecast:
     cohort_steps = ahead[cohort_cols(fit.ages, years_fc, cohorts)]
     variance = steps[:, None] * kappa_var[None, :] + cohort_steps * drift.var_dgamma
     return Forecast(ages=fit.ages, years=years_fc, mean=mean, variance=variance)
-
-
-def synthesize_counts(q: np.ndarray):
-    """Back out (D, E) grids from initial rates at exposure ``SYNTH_EXPOSURE``.
-
-    Used when a data source provides rates only: m = -log(1 - q), E is
-    constant, D = E * m (non-integer counts are fine for the fitting
-    routines).
-    """
-    q = np.asarray(q, dtype=float)
-    E = np.full_like(q, SYNTH_EXPOSURE)
-    return E * initial_to_central(q), E

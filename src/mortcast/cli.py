@@ -33,7 +33,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import artifacts  # each command imports the model it runs
-from .data import build_surface, inverse_logit, parse_table, window_counts
+from .data import (SYNTH_EXPOSURE, build_surface, inverse_logit, parse_table,
+                   synthesize_counts, window_counts)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,8 +42,7 @@ EXIT_NONCONVERGENCE = 2
 
 #: settings that saved configs may still hold, each at the one value that
 #: today's code reproduces; a config holding any other value cannot rerun
-#: (synth_exposure is cbd.SYNTH_EXPOSURE, which a test holds it to)
-RETIRED_SETTINGS = {"synth_exposure": 1e5, "dump_matrices": False,
+RETIRED_SETTINGS = {"synth_exposure": SYNTH_EXPOSURE, "dump_matrices": False,
                     "split_year": None, "rw_divisor": "n"}
 
 
@@ -233,9 +233,9 @@ def cmd_fit(cfg: RunConfig) -> int:
         if fit.sigma2_boundary:
             summary.append("warning: sigma2 at its lower boundary")
     elif cfg.model == "cbd":
-        from . import cbd as cbd_mod
-        D, E = counts or cbd_mod.synthesize_counts(surface.q)
-        fit = cbd_mod.fit_cbd(D, E, surface.ages, surface.years)
+        from .cbd import fit_cbd
+        D, E = counts or synthesize_counts(surface.q)
+        fit = fit_cbd(D, E, surface.ages, surface.years)
         r1, r2 = fit.constraint_residuals
         summary = [
             f"poisson log-likelihood: {fit.loglik:.4f}",
@@ -295,15 +295,18 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 
 def cmd_backtest(cfg: RunConfig) -> int:
-    # the only command with a process pool, so only it imports one
+    # the one command with a process pool imports it and reads its size
     from .backtest import BacktestPlan, emit_report, run_backtest
 
+    threads = os.environ.get("MORTCAST_THREADS", "")
+    if threads and not (threads.strip().isdecimal() and int(threads) > 0):
+        raise UsageError(f"MORTCAST_THREADS must be a positive integer, got {threads!r}")
     surface, counts = _load_surface(cfg)
     plan = BacktestPlan(**{f.name: getattr(cfg, f.name)
-                           for f in fields(BacktestPlan) if hasattr(cfg, f.name)})
-    deaths, exposures = counts if counts is not None else (None, None)
+                           for f in fields(BacktestPlan) if hasattr(cfg, f.name)},
+                        workers=int(threads) if threads else None)
     t0 = time.perf_counter()
-    report = run_backtest(plan, surface, deaths, exposures)
+    report = run_backtest(plan, surface, counts)
     elapsed = time.perf_counter() - t0
     out_dir = Path(cfg.out)
     markdown = emit_report(report, "markdown-table")

@@ -1,10 +1,12 @@
 """Mortality table ingestion and logit-rate surfaces.
 
 Raw tables hold central death rates m (or, for pre-converted sources,
-one-year death probabilities q) on an annual single-age grid. A
+one-year death probabilities q) on an annual single-age grid, with
+optional death counts and exposures for the CBD fits; for rates-only input,
+:func:`synthesize_counts` makes counts from the surface. A
 ``MortalitySurface`` is the complete rectangular window of logit initial
-rates y = log(q / (1 - q)) that the models consume, with
-q = 1 - exp(-m) linking the two rate definitions.
+rates y = log(q / (1 - q)) that the models consume, with q = 1 - exp(-m)
+linking the two rate definitions.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .errors import (
 )
 
 HMD_SEX_COLUMNS = {"female": 2, "male": 3, "total": 4}
+#: flat exposure of counts synthesized from rates: the Poisson LL is then
+#: E * sum(m log mu - mu) + const, so the level cannot move its maximum
+SYNTH_EXPOSURE = 1e5
 
 
 def central_to_initial(m):
@@ -117,19 +122,18 @@ class RawMortalityTable:
     years, ages : int arrays, one entry per row
     rates : float array
         Central rates m, or initial rates q when ``rate_kind == "initial"``.
-    deaths, exposures : float arrays or None
+    counts : (deaths, exposures) pair of float arrays, or None
         Optional observed death counts and central exposures, aligned with
-        rows; both or neither. NaN marks a row without the value, which
-        :func:`window_counts` rejects inside a window. A row's rate must
-        match D/E (central) or 1 - exp(-D/E) (initial) to 1e-6 relative.
+        rows. NaN marks a row without the value, which :func:`window_counts`
+        rejects inside a window. A row's rate must match D/E (central) or
+        1 - exp(-D/E) (initial) to 1e-6 relative.
     rate_kind : {"central", "initial"}
     """
 
     years: np.ndarray
     ages: np.ndarray
     rates: np.ndarray
-    deaths: np.ndarray | None = None
-    exposures: np.ndarray | None = None
+    counts: tuple[np.ndarray, np.ndarray] | None = None
     rate_kind: str = "central"
     _index: dict = field(init=False, repr=False, compare=False)
 
@@ -142,8 +146,6 @@ class RawMortalityTable:
         object.__setattr__(self, "rates", rates)
         if self.rate_kind not in ("central", "initial"):
             raise ValueError(f"unknown rate_kind {self.rate_kind!r}")
-        if (self.deaths is None) != (self.exposures is None):
-            raise ValueError("deaths and exposures come as a pair")
         if len(years) == 0:
             raise EmptyInputError("table has no rows")
         index = {}
@@ -153,16 +155,14 @@ class RawMortalityTable:
                 raise DuplicateCellError(f"duplicate cell (year={t}, age={x})")
             index[key] = i
         object.__setattr__(self, "_index", index)
-        if self.deaths is not None:
-            d = np.asarray(self.deaths, dtype=float)
-            e = np.asarray(self.exposures, dtype=float)
+        if self.counts is not None:
+            d, e = (np.asarray(c, dtype=float) for c in self.counts)
+            object.__setattr__(self, "counts", (d, e))
             ok = np.isfinite(d) & np.isfinite(e) & (e > 0)
             implied = np.where(ok, d / np.where(ok, e, 1.0), np.nan)
             if self.rate_kind == "initial":  # D/E is a central rate
                 implied = -np.expm1(-implied)
-            bad = ok & (
-                np.abs(rates - implied) > 1e-6 * np.maximum(rates, 1e-12)
-            )
+            bad = ok & (np.abs(rates - implied) > 1e-6 * np.maximum(rates, 1e-12))
             if np.any(bad):
                 i = int(np.argmax(bad))
                 raise ValueError(
@@ -250,8 +250,7 @@ def _parse_csv(text: str) -> RawMortalityTable:
     if ("deaths" in header) != ("exposure" in header):
         raise ParseError("columns 'deaths' and 'exposure' come as a pair", line=1)
     year_col, age_col = header.index("year"), header.index("age")
-    deaths_col = header.index("deaths") if "deaths" in header else None
-    expo_col = header.index("exposure") if "exposure" in header else None
+    count_cols = [header.index(c) for c in ("deaths", "exposure") if c in header]
 
     years, ages, rates, deaths, expos = [], [], [], [], []
     for lineno, row in enumerate(reader, start=2):
@@ -265,8 +264,9 @@ def _parse_csv(text: str) -> RawMortalityTable:
             years.append(int(row[year_col]))
             ages.append(int(row[age_col]))
             rates.append(float(row[rate_col]))
-            deaths.append(float(row[deaths_col]) if deaths_col is not None else np.nan)
-            expos.append(float(row[expo_col]) if expo_col is not None else np.nan)
+            if count_cols:
+                deaths.append(float(row[count_cols[0]]))
+                expos.append(float(row[count_cols[1]]))
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
     if not years:
@@ -275,8 +275,7 @@ def _parse_csv(text: str) -> RawMortalityTable:
         np.array(years),
         np.array(ages),
         np.array(rates),
-        deaths=np.array(deaths) if deaths_col is not None else None,
-        exposures=np.array(expos) if expo_col is not None else None,
+        counts=(deaths, expos) if count_cols else None,
         rate_kind=rate_kind,
     )
 
@@ -427,13 +426,23 @@ def window_counts(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """(deaths, exposures) grids for a window, checked by
     :func:`checked_counts`; None if the table has no count columns."""
-    if table.deaths is None:
+    if table.counts is None:
         return None
     ages, years, rows = _cell_rows(table, ages, years)
     if (rows < 0).any():
         i, j = np.unravel_index(np.argmax(rows < 0), rows.shape)
         table.lookup(years[i], ages[j])  # raises MissingCellError
-    return checked_counts(table.deaths[rows], table.exposures[rows], ages, years)
+    D, E = table.counts
+    return checked_counts(D[rows], E[rows], ages, years)
+
+
+def synthesize_counts(q) -> tuple[np.ndarray, np.ndarray]:
+    """(D, E) grids backed out of initial rates at exposure ``SYNTH_EXPOSURE``,
+    for sources with rates only: m = -log(1 - q), E is constant and
+    D = E * m (non-integer counts are fine for the fitting routines)."""
+    q = np.asarray(q, dtype=float)
+    E = np.full_like(q, SYNTH_EXPOSURE)
+    return E * initial_to_central(q), E
 
 
 def _cell_rows(table: RawMortalityTable, ages, years):

@@ -14,8 +14,8 @@ from mortcast.backtest import (
     rmse_curve,
     run_backtest,
 )
-from mortcast.data import MortalitySurface, inverse_logit
-from mortcast.errors import FactorizationError, UsageError
+from mortcast.data import MortalitySurface, inverse_logit, synthesize_counts
+from mortcast.errors import FactorizationError
 
 
 def cbd_exact_surface(ages, years, slope=-0.025):
@@ -159,27 +159,30 @@ class TestDeterminismAndParallel:
         parallel = run_backtest(BacktestPlan(workers=2, **base), surface)
         assert emit_report(serial, "csv") == emit_report(parallel, "csv")
 
-    def test_thread_env_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("MORTCAST_THREADS", "1")
-        plan = BacktestPlan(horizons=(2,), windows=2, models=("cbd",))
-        assert bt._resolve_workers(plan, 8) == 1
-
     def test_default_cap_is_the_cpus_the_process_may_run_on(self, monkeypatch):
         # pinned to one CPU of a larger machine, one worker
-        monkeypatch.delenv("MORTCAST_THREADS", raising=False)
         monkeypatch.setattr(bt.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(bt.os, "cpu_count", lambda: 8)
         plan = BacktestPlan(horizons=(2,), windows=2, models=("cbd",))
         assert bt._resolve_workers(plan, 8) == 1
-        monkeypatch.setenv("MORTCAST_THREADS", "3")  # an explicit cap still wins
-        assert bt._resolve_workers(plan, 8) == 3
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
-    def test_bad_thread_env_is_a_usage_error(self, monkeypatch, value):
-        monkeypatch.setenv("MORTCAST_THREADS", value)
-        plan = BacktestPlan(horizons=(2,), windows=2, models=("cbd",))
-        with pytest.raises(UsageError, match="MORTCAST_THREADS must be a positive integer"):
-            bt._resolve_workers(plan, 8)
+    def test_plan_workers_are_the_worker_count(self, monkeypatch):
+        # an explicit count is not capped by the CPUs, only by the tasks
+        monkeypatch.setattr(bt.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        plan = BacktestPlan(horizons=(2,), windows=2, models=("cbd",), workers=3)
+        assert bt._resolve_workers(plan, 8) == 3
+        assert bt._resolve_workers(plan, 2) == 2
+
+    def test_library_reads_no_thread_env(self, monkeypatch):
+        # MORTCAST_THREADS is the CLI's; a library call is set by its arguments
+        surface = cbd_exact_surface((60, 62), (1990, 2010))
+        plan = BacktestPlan(ages=(60, 62), horizons=(2,), windows=2,
+                            models=("cbd",), workers=1)
+        monkeypatch.delenv("MORTCAST_THREADS", raising=False)
+        unset = run_backtest(plan, surface)
+        monkeypatch.setenv("MORTCAST_THREADS", "abc")
+        report = run_backtest(plan, surface)
+        assert emit_report(report, "json") == emit_report(unset, "json")
 
 
 class TestOneFitPerTrainingWindow:
@@ -201,7 +204,7 @@ class TestOneFitPerTrainingWindow:
         """fit -> forecast(horizon) -> rmse_curve for one task alone."""
         k = train_end - int(surface.years[0]) + 1
         if model == "cbd":
-            D, E = bt.cbd_mod.synthesize_counts(surface.q[:k])
+            D, E = synthesize_counts(surface.q[:k])
             fit = fit_cbd(D, E, surface.ages, surface.years[:k])
             fc = bt.cbd_mod.forecast_cbd(fit, bt.cbd_mod.estimate_rw(fit), horizon)
         else:
@@ -520,43 +523,37 @@ class TestPlanValidation:
         (dict(horizons=()), "horizons must be positive"),
         (dict(horizons=(0,)), "horizons must be positive"),
         (dict(label="a\rb"), "label may not hold a carriage return"),
+        (dict(models=("cbd", "cbd")), "models must be distinct"),
     ])
     def test_bad_policy_rejected(self, bad, match):
         with pytest.raises(ValueError, match=match):
             BacktestPlan(**bad)
 
-    def test_mismatched_counts_rejected(self):
-        surface = cbd_exact_surface((60, 62), (1990, 2010))
-        plan = BacktestPlan(ages=(60, 62), horizons=(2,), windows=2,
-                            models=("cbd",))
-        with pytest.raises(ValueError):
-            run_backtest(plan, surface, deaths=np.ones((3, 3)), exposures=None)
-
     def test_misshaped_exposures_rejected_before_any_fit(self, monkeypatch):
         surface = cbd_exact_surface((60, 62), (1990, 2010))
         plan = BacktestPlan(ages=(60, 62), horizons=(2,), windows=2,
                             models=("cbd",), workers=1)
-        D, _ = bt.cbd_mod.synthesize_counts(surface.q)
+        D, _ = synthesize_counts(surface.q)
 
         def no_fit(*args, **kw):
             raise AssertionError("fit_cbd called")
 
         monkeypatch.setattr(bt.cbd_mod, "fit_cbd", no_fit)
         with pytest.raises(ValueError, match="must match the surface"):
-            run_backtest(plan, surface, deaths=D, exposures=np.ones((3, 3)))
+            run_backtest(plan, surface, (D, np.ones((3, 3))))
 
     def test_rate_only_counts_synthesized_once(self, monkeypatch):
         surface = cbd_exact_surface((60, 62), (1990, 2010))
         plan = BacktestPlan(ages=(60, 62), horizons=(2, 3), windows=2,
                             models=("cbd",), workers=1)
-        real = bt.cbd_mod.synthesize_counts
+        real = bt.synthesize_counts
         calls = []
 
         def counted(q):
             calls.append(q.shape)
             return real(q)
 
-        monkeypatch.setattr(bt.cbd_mod, "synthesize_counts", counted)
+        monkeypatch.setattr(bt, "synthesize_counts", counted)
         report = run_backtest(plan, surface)
         assert calls == [surface.q.shape]
         assert not report.failures and len(report.results) == 4

@@ -17,10 +17,9 @@ from mortcast.cbd import (
     fitted_logit,
     forecast_cbd,
     linear_predictor,
-    synthesize_counts,
     transform_parameters,
 )
-from mortcast.data import cohort_cols, inverse_logit
+from mortcast.data import cohort_cols, inverse_logit, synthesize_counts
 from oracles import cbd_sweeps_reference
 
 

@@ -13,8 +13,7 @@ from conftest import make_surface, surface_to_mx_csv
 import mortcast
 from mortcast import artifacts
 from mortcast import cbd as cbd_mod
-from mortcast.cli import (EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, RETIRED_SETTINGS,
-                          RunConfig, main)
+from mortcast.cli import EXIT_ERROR, EXIT_NONCONVERGENCE, EXIT_OK, RunConfig, main
 from mortcast.data import initial_to_central, inverse_logit
 from mortcast.design import build_design
 from mortcast.mixed import MixedFit, fit, forecast
@@ -502,6 +501,7 @@ class TestBacktestCommand:
         (("--horizons", "2,x"), "--horizons"),
         (("--seed", "-1"), "seed must be"),
         (("--label", "a\rb"), "label may not hold a carriage return"),
+        (("--models", "cbd,cbd"), "models must be distinct"),
     ])
     def test_usage_errors_exit_one_before_any_fit(self, data_csv, tmp_path, capsys,
                                                   flags, message):
@@ -560,11 +560,6 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert "synth_exposure 1000.0" in err and "retired at 100000.0" in err
         assert not other.exists()
-
-    def test_retired_exposure_is_the_synthetic_exposure(self):
-        # the CLI states the value without importing cbd (TestImportHygiene);
-        # a saved config reruns only while the two agree
-        assert RETIRED_SETTINGS["synth_exposure"] == cbd_mod.SYNTH_EXPOSURE
 
     def test_dump_matrices_is_gone(self, data_csv, tmp_path, capsys):
         args = ("--input", data_csv, "--ages", "60:63", "--years", "1990:2000",
@@ -790,7 +785,7 @@ class TestRunConfig:
         assert not (tmp_path / "report.csv").exists()
 
     def test_fit_does_not_read_thread_env(self, data_csv, tmp_path, monkeypatch):
-        # MORTCAST_THREADS caps the backtest's workers and nothing else
+        # MORTCAST_THREADS sets the backtest's workers and nothing else
         monkeypatch.setenv("MORTCAST_THREADS", "abc")
         code = run_cli("fit", "--input", data_csv, "--years", "1990:2000",
                        "--ages", "60:63", "--restarts", "1", "--out", tmp_path)
@@ -800,6 +795,66 @@ class TestRunConfig:
     def test_usage_error_exit_code(self):
         assert main(["fit", "--bogus-flag"]) == EXIT_ERROR
         assert main(["--help"]) == EXIT_OK
+
+
+class TestWorkerCount:
+    """MORTCAST_THREADS is read by the backtest command alone, which passes it
+    as the plan's worker count; the pools it starts are recorded here and run
+    their fits in this process. Horizons 2 and 3 with three windows make four
+    fits."""
+
+    ARGS = ("backtest", "--ages", "60:63", "--years", "1990:2012", "--horizons",
+            "2,3", "--windows", "3", "--models", "cbd")
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        import mortcast.backtest as bt
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bt, "ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    @pytest.mark.parametrize("threads, pools", [("1", []), ("2", [2]), ("9", [4])],
+                             ids=["1", "2", "9"])
+    def test_thread_env_caps_workers(self, data_csv, tmp_path, monkeypatch,
+                                     pool_sizes, threads, pools):
+        monkeypatch.setenv("MORTCAST_THREADS", threads)
+        assert run_cli(*self.ARGS, "--input", data_csv, "--out", tmp_path) == EXIT_OK
+        assert pool_sizes == pools
+
+    def test_explicit_cap_wins_over_the_cpus(self, data_csv, tmp_path, monkeypatch,
+                                             pool_sizes):
+        # pinned to one CPU: one worker by default, and an explicit 3 still 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.delenv("MORTCAST_THREADS", raising=False)
+        assert run_cli(*self.ARGS, "--input", data_csv, "--out", tmp_path / "a") == EXIT_OK
+        monkeypatch.setenv("MORTCAST_THREADS", "3")
+        assert run_cli(*self.ARGS, "--input", data_csv, "--out", tmp_path / "b") == EXIT_OK
+        assert pool_sizes == [3]
+        assert (tmp_path / "a" / "report.json").read_bytes() == \
+            (tmp_path / "b" / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_thread_env_is_a_usage_error(self, data_csv, tmp_path, monkeypatch,
+                                             capsys, pool_sizes, value):
+        monkeypatch.setenv("MORTCAST_THREADS", value)
+        assert run_cli(*self.ARGS, "--input", data_csv, "--out", tmp_path) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"MORTCAST_THREADS must be a positive integer, got {value!r}" in err
+        assert pool_sizes == [] and not list(tmp_path.iterdir())
 
 
 class TestArtifacts:
@@ -874,7 +929,7 @@ class TestImportHygiene:
     @pytest.mark.parametrize("threads, blas", [(None, "1"), ("2", "1"),
                                                ("abc", "1"), ("0", "1")])
     def test_cli_pins_blas_before_numpy(self, threads, blas):
-        # MORTCAST_THREADS caps the backtest's workers, never BLAS
+        # MORTCAST_THREADS sets the backtest's workers, never BLAS
         env = {} if threads is None else {"MORTCAST_THREADS": threads}
         assert self._blas_vars_after_cli_import(**env) == [blas] * 3
 
@@ -939,8 +994,8 @@ class TestImportHygiene:
             "no_scipy('by import mortcast.cli')\n"
             "import numpy as np\n"
             "from mortcast.backtest import BacktestPlan, run_backtest\n"
-            "from mortcast.cbd import fit_cbd, synthesize_counts\n"
-            "from mortcast.data import MortalitySurface, inverse_logit\n"
+            "from mortcast.cbd import fit_cbd\n"
+            "from mortcast.data import MortalitySurface, inverse_logit, synthesize_counts\n"
             "from mortcast.design import KernelParams, build_design\n"
             "from mortcast.mixed import fit, simulate, unstack_vector\n"
             "d = build_design(range(60, 64), range(1990, 2010))\n"

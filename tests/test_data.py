@@ -123,7 +123,7 @@ class TestParseCsv:
         # spreadsheet exports open a UTF-8 file with U+FEFF; unstripped, it
         # hides the first column name and the HMD header
         plain, marked = parse_table(text, fmt), parse_table("\ufeff" + text, fmt)
-        for name in ("years", "ages", "rates", "deaths", "exposures"):
+        for name in ("years", "ages", "rates", "counts"):
             np.testing.assert_array_equal(getattr(marked, name), getattr(plain, name))
         assert marked.rate_kind == plain.rate_kind
 
@@ -135,8 +135,9 @@ class TestParseCsv:
         table = parse_table(
             "year,age,mx,deaths,exposure\n2000,60,0.02,200,10000\n", "csv"
         )
-        assert table.deaths[0] == 200.0
-        assert table.exposures[0] == 10000.0
+        deaths, exposures = table.counts
+        assert deaths[0] == 200.0
+        assert exposures[0] == 10000.0
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
@@ -413,8 +414,18 @@ class TestWindowCounts:
         with pytest.raises(ParseError, match="pair") as err:
             parse_table(f"year,age,mx,{column}\n2000,60,0.02,200\n", "csv")
         assert err.value.line == 1
-        with pytest.raises(ValueError, match="pair"):
-            RawMortalityTable([2000], [60], [0.02], deaths=[200.0])
+
+    def test_list_counts_give_float_grids(self):
+        # counts are converted on construction, as years, ages and rates are,
+        # so a table built from lists windows like a parsed one
+        from mortcast.data import window_counts
+
+        table = RawMortalityTable([2000, 2000], [60, 61], [0.02, 0.03],
+                                  counts=([200.0, 300.0], [1e4, 1e4]))
+        D, E = window_counts(table, (60, 61), (2000, 2000))
+        assert D.dtype == E.dtype == np.float64
+        np.testing.assert_array_equal(D, [[200.0, 300.0]])
+        np.testing.assert_array_equal(E, [[1e4, 1e4]])
 
 
 class TestSurfaceValidation:

@@ -12,9 +12,9 @@ import pytest
 
 from mortcast import mixed
 from mortcast.backtest import BacktestPlan, emit_report, run_backtest
-from mortcast.cbd import estimate_rw, fit_cbd, forecast_cbd, synthesize_counts
+from mortcast.cbd import estimate_rw, fit_cbd, forecast_cbd
 from mortcast.cli import EXIT_OK, main
-from mortcast.data import MortalitySurface, initial_to_central, inverse_logit
+from mortcast.data import MortalitySurface, initial_to_central, inverse_logit, synthesize_counts
 from mortcast.design import KernelParams, build_design
 
 #: both models, one restart (no random starts), one worker; h = 2 and h = 3
