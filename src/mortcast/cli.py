@@ -11,6 +11,7 @@ codes: 0 success, 1 usage or data error, 2 numerical non-convergence
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -342,6 +343,7 @@ def main(argv=None) -> int:
 
 
 def console_entry() -> None:
+    gc.freeze()  # shutdown's cycle collections then skip the import-time heap
     raise SystemExit(main())
 
 

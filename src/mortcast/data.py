@@ -141,6 +141,12 @@ class RawMortalityTable:
         years = np.asarray(self.years, dtype=int)
         ages = np.asarray(self.ages, dtype=int)
         rates = np.asarray(self.rates, dtype=float)
+        counts = () if self.counts is None else [
+            np.asarray(c, dtype=float) for c in self.counts]
+        shapes = [c.shape for c in (years, ages, rates, *counts)]
+        if years.ndim != 1 or len(set(shapes)) > 1:
+            raise ValueError("years, ages, rates and counts need one entry per row, "
+                             f"got shapes {shapes}")
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "ages", ages)
         object.__setattr__(self, "rates", rates)
@@ -156,7 +162,7 @@ class RawMortalityTable:
             index[key] = i
         object.__setattr__(self, "_index", index)
         if self.counts is not None:
-            d, e = (np.asarray(c, dtype=float) for c in self.counts)
+            d, e = counts
             object.__setattr__(self, "counts", (d, e))
             ok = np.isfinite(d) & np.isfinite(e) & (e > 0)
             implied = np.where(ok, d / np.where(ok, e, 1.0), np.nan)

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,8 +29,26 @@ def data_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def noiseless_csv(tmp_path_factory):
+    # logit q = -3 + 0.1 (x - 60) - 0.02 (t - 1995), so m = log(1 + exp(logit q)):
+    # with no noise to fit, sigma2 runs to its lower boundary and a mixed fit exits 2
+    path = tmp_path_factory.mktemp("noiseless") / "noiseless.csv"
+    path.write_text("year,age,mx\n" + "".join(
+        f"{t},{x},{math.log1p(math.exp(-3 + 0.1 * (x - 60) - 0.02 * (t - 1995)))!r}\n"
+        for t in range(1995, 2015) for x in range(60, 65)))
+    return path
+
+
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def _run_fresh(code, *args):
+    """Run ``code`` in a new interpreter with ``args`` as sys.argv[1:]; it must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestFitCommand:
@@ -938,14 +957,8 @@ class TestImportHygiene:
                                                MORTCAST_THREADS="2")
         assert got == ["3", "1", "1"]
 
-    @staticmethod
-    def _run_fresh(code, *args):
-        proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
     def test_cli_import_loads_no_model(self):
-        self._run_fresh(
+        _run_fresh(
             "import sys\n"
             "import mortcast.cli\n"
             "loaded = [m for m in ('mortcast.mixed', 'mortcast.design', 'mortcast.cbd',\n"
@@ -957,7 +970,7 @@ class TestImportHygiene:
     def test_cli_and_backtest_load_every_traced_layer(self):
         # perfbench/tracer.py wraps these layers' functions after importing
         # mortcast.cli and mortcast.backtest, reading each from sys.modules
-        self._run_fresh(
+        _run_fresh(
             "import sys\n"
             "import mortcast.cli, mortcast.backtest\n"
             "missing = [m for m in ('data', 'design', 'mixed', 'cbd', 'artifacts',\n"
@@ -971,7 +984,7 @@ class TestImportHygiene:
     ], ids=["mixed", "cbd"])
     def test_fit_and_forecast_load_only_their_model(self, data_csv, tmp_path,
                                                       model, others):
-        self._run_fresh(
+        _run_fresh(
             "import sys\n"
             "from mortcast.cli import main\n"
             "model, data, out, *others = sys.argv[1:]\n"
@@ -1077,3 +1090,77 @@ class TestImportHygiene:
                 if any(n.split(".")[0] == "scipy" for n in names):
                     offenders.append(f"{path.name}:{node.lineno}")
         assert not offenders, f"scipy imports: {offenders}"
+
+
+class TestConsoleEntry:
+    """The installed script freezes the import-time heap before ``main()``, so
+    shutdown's collections skip it; imports and ``main()`` never freeze."""
+
+    NOISELESS_FIT = ["fit", "--ages", "60:64", "--years", "1995:2014", "--restarts", "1"]
+
+    @staticmethod
+    def _module(*args):
+        return subprocess.run([sys.executable, "-m", "mortcast.cli", *map(str, args)],
+                              capture_output=True, text=True)
+
+    def test_library_never_freezes(self, data_csv, tmp_path):
+        _run_fresh(
+            "import gc, sys\n"
+            "import mortcast.backtest, mortcast.cbd, mortcast.forecasts, mortcast.mixed\n"
+            "from mortcast.cli import main\n"
+            "data, out = sys.argv[1:]\n"
+            "window = ['--input', data, '--ages', '60:63', '--years', '1990:2009']\n"
+            "assert main(['fit', *window, '--restarts', '1', '--out', out]) == 0\n"
+            "assert main(['backtest', *window, '--models', 'cbd', '--horizons', '2',\n"
+            "             '--windows', '2', '--out', out]) == 0\n"
+            "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n",
+            data_csv, tmp_path,
+        )
+        assert (tmp_path / "fit.json").exists() and (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("code", [EXIT_OK, EXIT_ERROR, EXIT_NONCONVERGENCE],
+                             ids=["ok", "usage-error", "nonconvergence"])
+    def test_console_entry_freezes_and_exits_with_mains_code(
+            self, data_csv, noiseless_csv, tmp_path, code):
+        args = {EXIT_OK: ["fit", "--input", data_csv, "--ages", "60:63",
+                          "--years", "1990:2009", "--restarts", "1"],
+                EXIT_ERROR: ["fit", "--ages", "60:63"],  # no --input
+                EXIT_NONCONVERGENCE: [*self.NOISELESS_FIT, "--input", noiseless_csv]}[code]
+        _run_fresh(
+            "import gc, sys\n"
+            "from mortcast import cli\n"
+            "code = int(sys.argv[1])\n"
+            "sys.argv = ['mortcast', *sys.argv[2:]]\n"
+            "try:\n"
+            "    cli.console_entry()\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == code, exc.code\n"
+            "else:\n"
+            "    raise AssertionError('console_entry returned')\n"
+            "assert gc.get_freeze_count() > 0\n",
+            code, *args, "--out", tmp_path,
+        )
+
+    def test_module_exits_zero_or_one(self, data_csv, tmp_path):
+        ok = self._module("fit", "--input", data_csv, "--ages", "60:63",
+                          "--years", "1990:2009", "--restarts", "1", "--out", tmp_path / "ok")
+        assert ok.returncode == EXIT_OK, ok.stderr
+        assert (tmp_path / "ok" / "fit.json").exists()
+        bad = self._module("fit", "--ages", "60:63", "--out", tmp_path / "bad")
+        assert bad.returncode == EXIT_ERROR
+        assert bad.stderr == "error: --input is required\n"
+        assert not (tmp_path / "bad").exists()
+
+    def test_module_exits_two_with_the_in_process_outputs(self, noiseless_csv, tmp_path,
+                                                          capsys):
+        args = [*self.NOISELESS_FIT, "--input", noiseless_csv, "--out", tmp_path]
+        proc = self._module(*args)
+        assert proc.returncode == EXIT_NONCONVERGENCE, proc.stderr
+        assert "warning: sigma2 at its lower boundary" in proc.stdout
+        names = ("fit.json", "run_config.json")
+        written = [(tmp_path / name).read_bytes() for name in names]
+        capsys.readouterr()
+        assert run_cli(*args) == EXIT_NONCONVERGENCE
+        # the same stdout but for the fit's elapsed seconds, which end it
+        assert capsys.readouterr().out.rsplit(" in ", 1)[0] == proc.stdout.rsplit(" in ", 1)[0]
+        assert [(tmp_path / name).read_bytes() for name in names] == written

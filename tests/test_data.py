@@ -427,6 +427,17 @@ class TestWindowCounts:
         np.testing.assert_array_equal(D, [[200.0, 300.0]])
         np.testing.assert_array_equal(E, [[1e4, 1e4]])
 
+    @pytest.mark.parametrize("ages, rates, counts", [
+        ([60, 60], [0.02, 0.02], ([200.0], [1e4])),
+        ([60, 60], [0.02, 0.02], ([200.0] * 3, [1e4] * 3)),
+        ([60, 60], [0.02], None),
+        ([60], [0.02, 0.03], None),
+    ], ids=["one-count", "three-counts", "one-rate", "one-age"])
+    def test_columns_need_one_entry_per_row(self, ages, rates, counts):
+        # a short column must not broadcast over the rows or truncate them
+        with pytest.raises(ValueError, match=r"one entry per row, got shapes \[\(2,\)"):
+            RawMortalityTable([2000, 2001], ages, rates, counts=counts)
+
 
 class TestSurfaceValidation:
     def test_rejects_gap_in_years(self, small_surface):
