@@ -150,7 +150,7 @@ def load_fit(path) -> MixedFit | CbdFit:
     model = doc.get("model")
     if model not in ("mixed", "cbd"):
         raise ValueError(f"unknown or missing model tag {model!r}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if _read(doc, "schema_version", kind=int) != SCHEMA_VERSION:
         raise ValueError(f"fit artifact schema_version {doc['schema_version']!r} is not 1")
     window = _read(doc, "window", kind=dict)
     ages, years = (_axis(_read(window, axis, 2, kind=int), axis) for axis in ("ages", "years"))

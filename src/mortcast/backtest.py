@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cbd as cbd_mod
 from . import mixed as mixed_mod
-from .data import MortalitySurface, synthesize_counts
+from .data import MortalitySurface, split_train_test
 from .design import build_design
 from .errors import MortcastError
 
@@ -144,26 +144,21 @@ def _window_seed(plan_seed: int, model: str, train_end: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_fit(surface, deaths, exposures, plan, model, train_end, served):
+def _run_fit(surface, plan, model, train_end, served):
     """Fit ``model`` once on the years up to ``train_end``, forecast to the
     largest horizon among ``served`` (its (horizon, window) tasks) and score
     every task from that forecast."""
-    k = int(train_end - surface.years[0]) + 1
-    train_years = surface.years[:k]
+    train, test = split_train_test(surface, train_end)
     horizon = max(h for h, _ in served)
     try:
         if model == "mixed":
-            design = build_design(surface.ages, train_years)
-            fit = mixed_mod.fit(
-                surface.y[:k],
-                design,
-                restarts=plan.restarts,
-                seed=_window_seed(plan.seed, model, train_end),
-            )
+            fit = mixed_mod.fit(train.y, build_design(train.ages, train.years),
+                                restarts=plan.restarts,
+                                seed=_window_seed(plan.seed, model, train_end))
             fc = mixed_mod.forecast(fit, horizon)
             n_iter = fit.n_iter
         else:
-            fit = cbd_mod.fit_cbd(deaths[:k], exposures[:k], surface.ages, train_years)
+            fit = cbd_mod.fit_cbd(*train.counts, train.ages, train.years)
             fc = cbd_mod.forecast_cbd(fit, cbd_mod.estimate_rw(fit), horizon)
             n_iter = fit.n_sweeps
         preds = [fc.year_slice(train_end + h)[0] for h, _ in served]
@@ -176,7 +171,7 @@ def _run_fit(surface, deaths, exposures, plan, model, train_end, served):
         ]
     results = []
     for (h, w), pred in zip(served, preds):
-        actual = surface.y[int(train_end + h - surface.years[0])]
+        actual = test.y[h - 1]  # the test years start at train_end + 1
         results.append(WindowResult(
             model, h, w, train_end, train_end + h, rmse_curve(pred, actual),
             pred - actual, converged=bool(fit.converged), n_iter=int(n_iter),
@@ -208,11 +203,7 @@ def feasibility_start(years: np.ndarray, horizon: int, windows: int) -> int:
     return t_l
 
 
-def run_backtest(
-    plan: BacktestPlan,
-    surface: MortalitySurface,
-    counts: tuple[np.ndarray, np.ndarray] | None = None,
-) -> BacktestReport:
+def run_backtest(plan: BacktestPlan, surface: MortalitySurface) -> BacktestReport:
     """Fit-and-score every (model, horizon, window) combination.
 
     Tasks that share a training end-year share one fit: each model is fit
@@ -227,14 +218,10 @@ def run_backtest(
     Windows whose fit fails are excluded from the pooled average and listed
     in ``report.failures``; windows whose fit stopped without converging
     stay in the pooled average and are flagged per result (``converged``).
-    ``counts`` is the (deaths, exposures) grid pair of
-    :func:`mortcast.data.window_counts`; without it, the CBD fits read counts
-    synthesized once from the rates by :func:`mortcast.data.synthesize_counts`.
+    The mixed fits read ``surface.y`` and the CBD fits ``surface.counts``,
+    each up to the window's training end.
     """
     plan.check_surface(surface)
-    deaths, exposures = synthesize_counts(surface.q) if counts is None else counts
-    if np.shape(deaths) != surface.q.shape or np.shape(exposures) != surface.q.shape:
-        raise ValueError("deaths/exposures grids must match the surface")
 
     starts = {h: feasibility_start(surface.years, h, plan.windows) for h in plan.horizons}
     served: dict[tuple[str, int], list[tuple[int, int]]] = {}
@@ -243,7 +230,7 @@ def run_backtest(
             for w in range(plan.windows):
                 served.setdefault((model, starts[h] + w), []).append((h, w))
     tasks = [(model, end, s) for (model, end), s in served.items()]
-    run = partial(_run_fit, surface, deaths, exposures, plan)
+    run = partial(_run_fit, surface, plan)
     workers = _resolve_workers(plan, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,8 +8,9 @@ one exp per cell for both m and the logistic. The cohort series is pinned
 down by the two identifiability constraints sum(gamma) = 0 and
 sum((t-x) * gamma) = 0 over the fitted cohort set, re-imposed after every
 sweep through the likelihood-invariant reparameterization, whose
-regression on (1, cohort) is formed once per fit. Rates-only sources are
-fit on the counts :func:`mortcast.data.synthesize_counts` makes.
+regression on (1, cohort) is formed once per fit. The counts come from
+``MortalitySurface.counts``: the source's, or for rates-only sources the
+pair :func:`mortcast.data.synthesize_counts` makes when the surface is built.
 
 Forecasting is the classical two-step approach: a bivariate random walk
 with drift for (kappa1, kappa2) and a univariate one for the cohort

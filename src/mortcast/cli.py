@@ -34,8 +34,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import artifacts  # each command imports the model it runs
-from .data import (SYNTH_EXPOSURE, build_surface, inverse_logit, parse_table,
-                   synthesize_counts, window_counts)
+from .data import SYNTH_EXPOSURE, build_surface, inverse_logit, parse_table
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -200,9 +199,7 @@ def _load_surface(cfg: RunConfig):
     if cfg.ages is None or cfg.years is None:
         raise UsageError("--ages and --years are required")
     table = parse_table(path.read_text(), cfg.format, sex=cfg.sex)
-    surface = build_surface(table, cfg.ages, cfg.years, clamp_q=cfg.clamp_q)
-    counts = window_counts(table, cfg.ages, cfg.years)
-    return surface, counts
+    return build_surface(table, cfg.ages, cfg.years, clamp_q=cfg.clamp_q)
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -213,7 +210,7 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    surface, counts = _load_surface(cfg)
+    surface = _load_surface(cfg)
     out_dir = Path(cfg.out)
     t0 = time.perf_counter()
     if cfg.model == "mixed":
@@ -235,8 +232,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             summary.append("warning: sigma2 at its lower boundary")
     elif cfg.model == "cbd":
         from .cbd import fit_cbd
-        D, E = counts or synthesize_counts(surface.q)
-        fit = fit_cbd(D, E, surface.ages, surface.years)
+        fit = fit_cbd(*surface.counts, surface.ages, surface.years)
         r1, r2 = fit.constraint_residuals
         summary = [
             f"poisson log-likelihood: {fit.loglik:.4f}",
@@ -302,12 +298,12 @@ def cmd_backtest(cfg: RunConfig) -> int:
     threads = os.environ.get("MORTCAST_THREADS", "")
     if threads and not (threads.strip().isdecimal() and int(threads) > 0):
         raise UsageError(f"MORTCAST_THREADS must be a positive integer, got {threads!r}")
-    surface, counts = _load_surface(cfg)
+    surface = _load_surface(cfg)
     plan = BacktestPlan(**{f.name: getattr(cfg, f.name)
                            for f in fields(BacktestPlan) if hasattr(cfg, f.name)},
                         workers=int(threads) if threads else None)
     t0 = time.perf_counter()
-    report = run_backtest(plan, surface, counts)
+    report = run_backtest(plan, surface)
     elapsed = time.perf_counter() - t0
     out_dir = Path(cfg.out)
     markdown = emit_report(report, "markdown-table")

@@ -2,11 +2,11 @@
 
 Raw tables hold central death rates m (or, for pre-converted sources,
 one-year death probabilities q) on an annual single-age grid, with
-optional death counts and exposures for the CBD fits; for rates-only input,
-:func:`synthesize_counts` makes counts from the surface. A
-``MortalitySurface`` is the complete rectangular window of logit initial
-rates y = log(q / (1 - q)) that the models consume, with q = 1 - exp(-m)
-linking the two rate definitions.
+optional death counts and exposures. A ``MortalitySurface`` is the complete
+rectangular window the models consume: logit initial rates
+y = log(q / (1 - q)), with q = 1 - exp(-m) linking the two rate definitions,
+and the counts of the CBD fits, the source's or, for rates-only input, the
+pair :func:`synthesize_counts` makes from q.
 """
 
 from __future__ import annotations
@@ -321,11 +321,15 @@ class MortalitySurface:
         Initial rates in (0, 1); rows index years, columns index ages.
     y : float array, shape (n, m)
         logit(q), computed on first use (finite, as q is inside (0, 1)).
+    counts : (deaths, exposures) pair of float arrays, shape (n, m) each
+        What the CBD fits read: the given pair, checked by :func:`checked_counts`,
+        or when none is given, the pair :func:`synthesize_counts` makes from q.
     """
 
     ages: np.ndarray
     years: np.ndarray
     q: np.ndarray
+    counts: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         ages = consecutive_axis(self.ages, "ages")
@@ -341,6 +345,8 @@ class MortalitySurface:
         object.__setattr__(self, "ages", ages)
         object.__setattr__(self, "years", years)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "counts", synthesize_counts(q) if self.counts is None
+                           else checked_counts(*self.counts, ages, years))
 
     @cached_property
     def y(self) -> np.ndarray:
@@ -365,7 +371,7 @@ def build_surface(
     years,
     clamp_q: float | None = None,
 ) -> MortalitySurface:
-    """Window a raw table into a complete logit surface.
+    """Window a raw table into a complete surface, with :func:`window_counts`.
 
     Parameters
     ----------
@@ -379,7 +385,8 @@ def build_surface(
     Raises
     ------
     ValueError
-        ``clamp_q`` is given but not strictly inside (0, 1).
+        ``clamp_q`` is given but not strictly inside (0, 1), or, once every
+        rate has passed, a count is bad (:func:`checked_counts`).
     MissingCellError
         A requested cell is not in the table.
     NonFiniteLogitError
@@ -387,6 +394,7 @@ def build_surface(
     """
     if clamp_q is not None and not 0.0 < clamp_q < 1.0:
         raise ValueError(f"clamp_q must lie in (0, 1), got {clamp_q!r}")
+    window = ages, years
     ages, years, rows = _cell_rows(table, ages, years)
     r = table.rates[rows]
     central = table.rate_kind == "central"
@@ -407,7 +415,7 @@ def build_surface(
         if qx <= 0.0 and clamp_q is None:
             raise NonFiniteLogitError("rate q <= 0", year=t, age=x)
         raise NonFiniteLogitError("rate q >= 1", year=t, age=x)
-    return MortalitySurface(ages=ages, years=years, q=q)
+    return MortalitySurface(ages, years, q, window_counts(table, *window))
 
 
 def checked_counts(D, E, ages, years) -> tuple[np.ndarray, np.ndarray]:
@@ -475,5 +483,6 @@ def split_train_test(
             f"[{years[0]}, {years[-1] - 1}]"
         )
     k = int(last_train_year - years[0]) + 1
-    return (MortalitySurface(ages=surface.ages, years=years[:k], q=surface.q[:k]),
-            MortalitySurface(ages=surface.ages, years=years[k:], q=surface.q[k:]))
+    D, E = surface.counts
+    return (MortalitySurface(surface.ages, years[:k], surface.q[:k], (D[:k], E[:k])),
+            MortalitySurface(surface.ages, years[k:], surface.q[k:], (D[k:], E[k:])))

@@ -187,8 +187,8 @@ def assemble_V(params: KernelParams, design: DesignSet) -> np.ndarray:
     Gathered from the kernels at each row pair's ages and cohorts, for
     dense checks and timings; the likelihood engine never forms V. The
     returned matrix is exact (no jitter); positive definiteness is verified
-    via the shared jitter policy (a jittered check is logged) and failure
-    raises ``FactorizationError``.
+    via the shared jitter policy (a jittered check is logged, see
+    :func:`log_jitter`) and failure raises ``FactorizationError``.
     """
     if design.horizon != 0:
         raise ValueError("assemble_V expects a training design (horizon 0)")
@@ -197,7 +197,7 @@ def assemble_V(params: KernelParams, design: DesignSet) -> np.ndarray:
     V = K1.take(a, 0).take(a, 1) + (tau[:, None] * K2.take(a, 0)).take(a, 1) * tau
     V += K3.take(c, 0).take(c, 1)
     V[np.diag_indices_from(V)] += params.sigma2
-    cholesky_with_jitter(V)  # validate on a copy; degenerate params fail here
+    log_jitter(cholesky_with_jitter(V)[1], V.shape[0])  # degenerate params fail here
     return V
 
 
@@ -206,12 +206,11 @@ def cholesky_with_jitter(V: np.ndarray) -> tuple[np.ndarray, float]:
     adding one round of diagonal jitter if needed.
 
     Returns (L, jitter) where jitter is 0.0 or the amount added to the
-    diagonal; a nonzero jitter is logged as a warning on the ``mortcast``
-    logger with the matrix size, since the factor is then that of a
-    different matrix. L comes from ``numpy.linalg.cholesky`` (LAPACK
-    ``potrf``), with its upper triangle exactly 0. A matrix with a NaN or
-    infinite entry, which LAPACK would factor into NaNs, or a second
-    failure raises ``FactorizationError``.
+    diagonal; a caller that keeps a jittered factor logs it with
+    :func:`log_jitter`, one that rejects it stays silent. L comes from
+    ``numpy.linalg.cholesky`` (LAPACK ``potrf``), with its upper triangle
+    exactly 0. A matrix with a NaN or infinite entry, which LAPACK would
+    factor into NaNs, or a second failure raises ``FactorizationError``.
     """
     if not np.all(np.isfinite(V)):
         raise FactorizationError("covariance has non-finite entries")
@@ -227,8 +226,11 @@ def cholesky_with_jitter(V: np.ndarray) -> tuple[np.ndarray, float]:
         raise FactorizationError(
             "covariance not positive definite even after jitter"
         ) from None
-    _log.warning(
-        "covariance factorization needed jitter %.6g on the diagonal "
-        "(%d x %d matrix)", jitter, *V.shape,
-    )
     return L, jitter
+
+
+def log_jitter(jitter: float, n: int) -> None:
+    """Warn that a kept factor of an n x n matrix needed ``jitter``: it factors another one."""
+    if jitter:
+        _log.warning("covariance factorization needed jitter %.6g on the diagonal "
+                     "(%d x %d matrix)", jitter, n, n)

@@ -29,6 +29,7 @@ from .design import (
     KernelParams,
     build_covariances,
     cholesky_with_jitter,
+    log_jitter,
     se_kernel,
 )
 from .errors import FactorizationError
@@ -259,8 +260,10 @@ class _Evaluation:
 
 
 def _evaluate(y, design: DesignSet, params: KernelParams) -> _Evaluation:
-    """The model at ``params`` on (y, design): one projection, one factorization."""
-    return _Evaluation(_Projection(y, design), params)
+    """The model at ``params`` on (y, design): one projection, one logged factorization."""
+    ev = _Evaluation(_Projection(y, design), params)
+    log_jitter(ev.jitter, ev.wy.size)
+    return ev
 
 
 def log_likelihood(y, beta, params: KernelParams, design: DesignSet) -> float:
@@ -298,7 +301,7 @@ def _bfgs_ascent(proj: _Projection, u0, free):
     Accepted steps satisfy an Armijo condition on -LL, so the likelihood
     trace is nondecreasing. Trial points that fail factorization, need
     jitter (their likelihood belongs to a different V) or go non-finite are
-    rejected by backtracking.
+    rejected by backtracking, without a log record.
     """
     def evaluate(u) -> _Evaluation:
         return _Evaluation(proj, KernelParams.from_array(np.exp(u)))
@@ -486,6 +489,7 @@ def fit(
         raise FactorizationError(
             "all restarts failed: " + "; ".join(failures)
         )
+    log_jitter(best.evaluation.jitter, best.evaluation.wy.size)
     return replace(best, converged=best.converged and not best.sigma2_boundary)
 
 

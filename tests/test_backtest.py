@@ -529,33 +529,36 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=match):
             BacktestPlan(**bad)
 
-    def test_misshaped_exposures_rejected_before_any_fit(self, monkeypatch):
-        surface = cbd_exact_surface((60, 62), (1990, 2010))
-        plan = BacktestPlan(ages=(60, 62), horizons=(2,), windows=2,
-                            models=("cbd",), workers=1)
-        D, _ = synthesize_counts(surface.q)
-
-        def no_fit(*args, **kw):
-            raise AssertionError("fit_cbd called")
-
-        monkeypatch.setattr(bt.cbd_mod, "fit_cbd", no_fit)
-        with pytest.raises(ValueError, match="must match the surface"):
-            run_backtest(plan, surface, (D, np.ones((3, 3))))
+    def test_misshaped_exposures_rejected_before_any_fit(self):
+        # the surface checks its own count pair, so a bad one never reaches
+        # run_backtest, let alone a fit
+        base = cbd_exact_surface((60, 62), (1990, 2010))
+        D, E = synthesize_counts(base.q)
+        bad_cell = E.copy()
+        bad_cell[4, 1] = 0.0
+        with pytest.raises(ValueError, match=r"D/E grids must have shape \(21, 3\)"):
+            MortalitySurface(base.ages, base.years, base.q, (D, np.ones((3, 3))))
+        with pytest.raises(ValueError, match=r"bad count at \(year=1994, age=61\)"):
+            MortalitySurface(base.ages, base.years, base.q, (D, bad_cell))
 
     def test_rate_only_counts_synthesized_once(self, monkeypatch):
-        surface = cbd_exact_surface((60, 62), (1990, 2010))
-        plan = BacktestPlan(ages=(60, 62), horizons=(2, 3), windows=2,
-                            models=("cbd",), workers=1)
-        real = bt.synthesize_counts
+        import mortcast.data as data_mod
+
+        base = cbd_exact_surface((60, 62), (1990, 2010))
+        real = data_mod.synthesize_counts
         calls = []
 
         def counted(q):
             calls.append(q.shape)
             return real(q)
 
-        monkeypatch.setattr(bt, "synthesize_counts", counted)
-        report = run_backtest(plan, surface)
+        monkeypatch.setattr(data_mod, "synthesize_counts", counted)
+        surface = MortalitySurface(base.ages, base.years, base.q)
         assert calls == [surface.q.shape]
+        plan = BacktestPlan(ages=(60, 62), horizons=(2, 3), windows=2,
+                            models=("cbd",), workers=1)
+        report = run_backtest(plan, surface)
+        assert calls == [surface.q.shape]  # the backtest synthesized none
         assert not report.failures and len(report.results) == 4
 
     def test_plan_window_must_match_surface(self):

@@ -311,6 +311,8 @@ class TestForecastCommand:
         (lambda doc, cfg: {**doc, "window": {"ages": doc["window"]["ages"]}},
          "no 'years' key"),
         (lambda doc, cfg: {**doc, "schema_version": 2}, "schema_version 2 is not 1"),
+        (lambda doc, cfg: {**doc, "schema_version": True}, "schema_version True is not int"),
+        (lambda doc, cfg: {**doc, "schema_version": 1.0}, "schema_version 1.0 is not int"),
         (lambda doc, cfg: [doc], "JSON object"),
         (lambda doc, cfg: {**doc, "window": 5}, "window 5 is not"),
         (lambda doc, cfg: {**doc, "params": 5}, "params 5 is not dict"),
@@ -319,7 +321,8 @@ class TestForecastCommand:
         (lambda doc, cfg: {**doc, "params": {**doc["params"], "h1": "1"}},
          "h1 '1' is not float"),
         (lambda doc, cfg: {**doc, "y": doc["y"][1:]}, "is not float[20][4]"),
-    ], ids=["run-config", "no-params", "no-sigma2", "no-years", "schema-2", "list",
+    ], ids=["run-config", "no-params", "no-sigma2", "no-years", "schema-2",
+            "schema-true", "schema-float", "list",
             "window-int", "params-int", "n_iter-null", "n_iter-bool", "h1-str",
             "y-short"])
     def test_malformed_artifact_exits_one(self, fit_dir, tmp_path, capsys,

@@ -16,6 +16,8 @@ from mortcast.data import (
     logit,
     parse_table,
     split_train_test,
+    synthesize_counts,
+    window_counts,
 )
 from mortcast.errors import (
     DuplicateCellError,
@@ -394,6 +396,25 @@ class TestWindowCounts:
             window_counts(table, (60, 61), (2000, 2001))
         assert window_counts(table, (60, 60), (2000, 2000)) is not None
 
+    def test_surface_carries_the_window_counts(self):
+        text = "year,age,mx,deaths,exposure\n" + "".join(
+            f"{t},{x},{(t - 1990 + x) / 1e4!r},{t - 1990 + x},10000\n"
+            for t in range(1998, 2003) for x in range(59, 63))
+        table = parse_table(text, "csv")
+        D, E = window_counts(table, (60, 61), (1999, 2001))
+        surface = build_surface(table, (60, 61), (1999, 2001))
+        assert surface.counts[0].tobytes() == D.tobytes()
+        assert surface.counts[1].tobytes() == E.tobytes()
+
+    def test_surface_checks_rates_before_counts(self):
+        # a cell with both a zero rate and a zero exposure is named as a rate
+        # error, the order build_surface has always checked them in
+        table = parse_table("year,age,mx,deaths,exposure\n2000,60,0.0,0,0\n", "csv")
+        with pytest.raises(NonFiniteLogitError, match="q <= 0"):
+            build_surface(table, (60, 60), (2000, 2000))
+        with pytest.raises(ValueError, match=r"bad count at \(year=2000, age=60\)"):
+            build_surface(table, (60, 60), (2000, 2000), clamp_q=1e-6)
+
     def test_qx_table_with_counts(self):
         # D/E is a central rate, so a qx cell matches 1 - exp(-D/E), not D/E
         from mortcast.data import window_counts
@@ -452,6 +473,11 @@ class TestSurfaceValidation:
         with pytest.raises(NonFiniteLogitError, match="outside"):
             MortalitySurface(ages=[60, 61], years=[2000], q=[[np.nan, 0.02]])
 
+    def test_rate_only_surface_carries_synthesized_counts(self, small_surface):
+        D, E = synthesize_counts(small_surface.q)
+        assert small_surface.counts[0].tobytes() == D.tobytes()
+        assert small_surface.counts[1].tobytes() == E.tobytes()
+
 
 class TestSplit:
     def test_documented_split(self, rng):
@@ -472,6 +498,17 @@ class TestSplit:
         np.testing.assert_array_equal(
             np.vstack([train.y, test.y]), small_surface.y
         )
+
+    def test_counts_split_with_the_rates(self, small_surface, rng):
+        D = rng.uniform(0.0, 100.0, small_surface.q.shape)
+        E = rng.uniform(1e3, 1e4, small_surface.q.shape)
+        s = MortalitySurface(small_surface.ages, small_surface.years, small_surface.q, (D, E))
+        train, test = split_train_test(s, 1999)
+        k = train.n_years
+        for half, rows in ((train, slice(None, k)), (test, slice(k, None))):
+            np.testing.assert_array_equal(half.q, s.q[rows])
+            np.testing.assert_array_equal(half.counts[0], D[rows])
+            np.testing.assert_array_equal(half.counts[1], E[rows])
 
     def test_boundaries(self, small_surface):
         y0, yn = small_surface.years[0], small_surface.years[-1]

@@ -558,6 +558,34 @@ class TestJitterReported:
             log_likelihood(np.zeros(30), [0.0, 0.0], clean, d)
         assert self._jitter_warnings(caplog) == []
 
+    def test_rejected_trials_are_silent(self, caplog):
+        # the noiseless grid of the CLI's exit-2 test: sigma2 collapses and
+        # many line-search trials need jitter, but the optimizer rejects
+        # them and the returned fit keeps a clean factor
+        from mortcast.data import central_to_initial, logit
+
+        d = build_design(range(60, 65), range(1995, 2015))
+        m = [[math.log1p(math.exp(-3 + 0.1 * (x - 60) - 0.02 * (t - 1995)))
+              for x in range(60, 65)] for t in range(1995, 2015)]
+        y = logit(central_to_initial(m))
+        with caplog.at_level("WARNING", logger="mortcast"):
+            f = fit(y, d, restarts=1)
+        assert f.evaluation.jitter == 0.0 and f.sigma2_boundary
+        assert self._jitter_warnings(caplog) == []
+
+    def test_kept_jittered_factor_logged_once(self, rng, caplog, monkeypatch):
+        # every factorization reports jitter: the ascent rejects every trial
+        # silently and returns its jittered start, which the fit logs once
+        import mortcast.mixed as mixed_mod
+
+        real_chol = mixed_mod.cholesky_with_jitter
+        monkeypatch.setattr(mixed_mod, "cholesky_with_jitter",
+                            lambda V: (real_chol(V)[0], 1e-12))
+        with caplog.at_level("WARNING", logger="mortcast"):
+            f = fit(*TestOneFactorization.data(rng), restarts=1)
+        assert f.evaluation.jitter == 1e-12
+        assert len(self._jitter_warnings(caplog)) == 1
+
 
 class TestJitteredTrialsRejected:
     """An accepted optimizer step never comes from a jittered factorization,
