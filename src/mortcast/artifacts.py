@@ -100,7 +100,8 @@ def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
     from .design import KernelParams, build_design
     from .mixed import MixedFit, _evaluate, stack_grid
     params = _read(doc, "params", kind=dict)
-    y = stack_grid(np.asarray(_read(doc, "y", years.size, ages.size), dtype=float))
+    shape = years.stop - years.start, ages.stop - ages.start  # len() fails past 2**63
+    y = stack_grid(np.asarray(_read(doc, "y", *shape), dtype=float))
     return MixedFit(
         evaluation=_evaluate(y, build_design(ages, years),
                              KernelParams(*(_read(params, n) for n in KernelParams.NAMES))),
@@ -112,15 +113,15 @@ def _dict_to_mixed(doc: dict, ages, years) -> MixedFit:
 
 def _dict_to_cbd(doc: dict, ages, years) -> CbdFit:
     from .cbd import CbdFit, fitted_cohorts
-    cohorts = cohort_labels(ages, years)
-    return CbdFit(
-        ages=ages,
-        years=years,
-        kappa1=np.asarray(_read(doc, "kappa1", years.size), dtype=float),
-        kappa2=np.asarray(_read(doc, "kappa2", years.size), dtype=float),
-        gamma3=np.asarray(_read(doc, "gamma3", cohorts.size), dtype=float),
-        cohorts=cohorts,
-        included=fitted_cohorts(ages, years),
+    n, m = years.stop - years.start, ages.stop - ages.start  # len() fails past 2**63
+    return CbdFit(  # the curves' lengths check the window before its arrays are built
+        kappa1=np.asarray(_read(doc, "kappa1", n), dtype=float),
+        kappa2=np.asarray(_read(doc, "kappa2", n), dtype=float),
+        gamma3=np.asarray(_read(doc, "gamma3", n + m - 1), dtype=float),
+        ages=np.array(ages),
+        years=np.array(years),
+        cohorts=cohort_labels(ages, years),
+        included=fitted_cohorts(np.array(ages), np.array(years)),
         x_bar=float(np.mean(ages)),
         loglik=float(_read(doc, "loglik")),
         loglik_trace=np.asarray(_read(doc, "loglik_trace", None), dtype=float),

@@ -124,7 +124,7 @@ class RawMortalityTable:
         Central rates m, or initial rates q when ``rate_kind == "initial"``.
     counts : (deaths, exposures) pair of float arrays, or None
         Optional observed death counts and central exposures, aligned with
-        rows. NaN marks a row without the value, which :func:`window_counts`
+        rows. NaN marks a row without the value, which :func:`checked_counts`
         rejects inside a window. A row's rate must match D/E (central) or
         1 - exp(-D/E) (initial) to 1e-6 relative.
     rate_kind : {"central", "initial"}
@@ -155,10 +155,9 @@ class RawMortalityTable:
         if len(years) == 0:
             raise EmptyInputError("table has no rows")
         index = {}
-        for i, (t, x) in enumerate(zip(years, ages)):
-            key = (int(t), int(x))
+        for i, key in enumerate(zip(years.tolist(), ages.tolist())):
             if key in index:
-                raise DuplicateCellError(f"duplicate cell (year={t}, age={x})")
+                raise DuplicateCellError(f"duplicate cell (year={key[0]}, age={key[1]})")
             index[key] = i
         object.__setattr__(self, "_index", index)
         if self.counts is not None:
@@ -186,6 +185,12 @@ class RawMortalityTable:
             raise MissingCellError(f"no data for (year={year}, age={age})") from None
 
 
+def _int64(text: str) -> int:  # a table holds its years and ages as int64
+    if -2**63 <= (value := int(text)) < 2**63:
+        return value
+    raise ValueError(f"{text.strip()} is outside the 64-bit integer range")
+
+
 def _parse_hmd_1x1(text: str, sex: str) -> RawMortalityTable:
     if sex not in HMD_SEX_COLUMNS:
         raise ValueError(f"sex must be one of {sorted(HMD_SEX_COLUMNS)}, got {sex!r}")
@@ -205,14 +210,14 @@ def _parse_hmd_1x1(text: str, sex: str) -> RawMortalityTable:
                 line=lineno,
             )
         try:
-            year = int(fields[0])
+            year = _int64(fields[0])
         except ValueError:
             raise ParseError(f"bad year field {fields[0]!r}", line=lineno) from None
         age_txt = fields[1]
         if age_txt.endswith("+"):
             age_txt = age_txt[:-1]
         try:
-            age = int(age_txt)
+            age = _int64(age_txt)
         except ValueError:
             raise ParseError(f"bad age field {fields[1]!r}", line=lineno) from None
         value = fields[col]
@@ -255,6 +260,11 @@ def _parse_csv(text: str) -> RawMortalityTable:
         raise ParseError(f"unknown column(s) {unknown}", line=1)
     if ("deaths" in header) != ("exposure" in header):
         raise ParseError("columns 'deaths' and 'exposure' come as a pair", line=1)
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise ParseError(f"repeated column(s) {repeated}", line=1)
+    if "mx" in header and "qx" in header:
+        raise ParseError("one rate column, 'mx' or 'qx', not both", line=1)
     year_col, age_col = header.index("year"), header.index("age")
     count_cols = [header.index(c) for c in ("deaths", "exposure") if c in header]
 
@@ -267,8 +277,8 @@ def _parse_csv(text: str) -> RawMortalityTable:
                 f"expected {len(header)} fields, got {len(row)}", line=lineno
             )
         try:
-            years.append(int(row[year_col]))
-            ages.append(int(row[age_col]))
+            years.append(_int64(row[year_col]))
+            ages.append(_int64(row[age_col]))
             rates.append(float(row[rate_col]))
             if count_cols:
                 deaths.append(float(row[count_cols[0]]))
@@ -357,12 +367,12 @@ class MortalitySurface:
         return self.years.size
 
 
-def _axis(window, name: str) -> np.ndarray:
-    """The years or ages of an inclusive (lo, hi) window."""
+def _axis(window, name: str) -> range:
+    """The years or ages of an inclusive (lo, hi) window, as a range (no array)."""
     lo, hi = map(int, window)
     if hi < lo:
         raise ValueError(f"{name} range {lo}:{hi} is reversed")
-    return np.arange(lo, hi + 1)
+    return range(lo, hi + 1)
 
 
 def build_surface(
@@ -371,7 +381,7 @@ def build_surface(
     years,
     clamp_q: float | None = None,
 ) -> MortalitySurface:
-    """Window a raw table into a complete surface, with :func:`window_counts`.
+    """Window a raw table into a complete surface, with the table's counts.
 
     Parameters
     ----------
@@ -394,8 +404,8 @@ def build_surface(
     """
     if clamp_q is not None and not 0.0 < clamp_q < 1.0:
         raise ValueError(f"clamp_q must lie in (0, 1), got {clamp_q!r}")
-    window = ages, years
-    ages, years, rows = _cell_rows(table, ages, years)
+    ages, years, rows = _cell_rows(table, ages, years,
+                                   lambda t, x: _check_cell(table, t, x, clamp_q))
     r = table.rates[rows]
     central = table.rate_kind == "central"
     ok_m = np.isfinite(r) & (r >= 0) if central else np.True_
@@ -403,19 +413,11 @@ def build_surface(
     if clamp_q is not None:
         q = np.where(q <= 0.0, clamp_q, q)
     bad = (rows < 0) | ~ok_m | ~np.isfinite(q) | (q <= 0.0) | (q >= 1.0)
-    if bad.any():
-        # redo the first bad cell in (year, age) order alone, so that it
-        # raises exactly the error a cell-by-cell pass would
+    if bad.any():  # the first bad cell in (year, age) order raises
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        t, x = int(years[i]), int(ages[j])
-        r = table.rates[table.lookup(t, x)]
-        qx = central_to_initial(r) if central else float(r)
-        if np.isnan(qx):
-            raise NonFiniteLogitError("rate q is NaN", year=t, age=x)
-        if qx <= 0.0 and clamp_q is None:
-            raise NonFiniteLogitError("rate q <= 0", year=t, age=x)
-        raise NonFiniteLogitError("rate q >= 1", year=t, age=x)
-    return MortalitySurface(ages, years, q, window_counts(table, *window))
+        _check_cell(table, int(years[i]), int(ages[j]), clamp_q)
+    counts = None if table.counts is None else tuple(c[rows] for c in table.counts)
+    return MortalitySurface(ages, years, q, counts)
 
 
 def checked_counts(D, E, ages, years) -> tuple[np.ndarray, np.ndarray]:
@@ -459,13 +461,30 @@ def synthesize_counts(q) -> tuple[np.ndarray, np.ndarray]:
     return E * initial_to_central(q), E
 
 
-def _cell_rows(table: RawMortalityTable, ages, years):
+def _cell_rows(table: RawMortalityTable, ages, years, check_cell=None):
     """The window's (ages, years) axes and its (years x ages) grid of the
-    table's row indices, -1 where a cell is absent."""
+    table's row indices, -1 where a cell is absent. A window of more cells than
+    rows is walked through ``check_cell`` (default: presence) to its first bad cell."""
     ages, years = _axis(ages, "ages"), _axis(years, "years")
+    if (ages.stop - ages.start) * (years.stop - years.start) > len(table.years):
+        for t in years:
+            for x in ages:
+                (check_cell or table.lookup)(t, x)
     get = table._index.get
-    rows = [[get((t, x), -1) for x in ages.tolist()] for t in years.tolist()]
-    return ages, years, np.array(rows)
+    rows = [[get((t, x), -1) for x in ages] for t in years]
+    return np.array(ages), np.array(years), np.array(rows)
+
+
+def _check_cell(table: RawMortalityTable, t: int, x: int, clamp_q) -> None:
+    # raise what a cell-by-cell pass raises at (year t, age x), if anything
+    r = table.rates[table.lookup(t, x)]
+    qx = central_to_initial(r) if table.rate_kind == "central" else float(r)
+    if np.isnan(qx):
+        raise NonFiniteLogitError("rate q is NaN", year=t, age=x)
+    if qx <= 0.0 and clamp_q is None:
+        raise NonFiniteLogitError("rate q <= 0", year=t, age=x)
+    if qx >= 1.0:
+        raise NonFiniteLogitError("rate q >= 1", year=t, age=x)
 
 
 def split_train_test(

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,28 @@ class TestFitCommand:
         assert code == EXIT_ERROR
         # data._axis is the one check, and it names the axis
         assert "years range 2006:1947 is reversed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, flags, message", [
+        (None, ("--ages", "60:100000000000"), "error: no data for (year=1990, age=64)"),
+        (lambda text: "".join(f"{line},{line.split(',')[2]}\n" for line in text.splitlines()),
+         (), "error: line 1: repeated column(s) ['mx']"),
+        (lambda text: text + "100000000000000000000000000000,60,0.01\n", (),
+         "is outside the 64-bit integer range"),
+    ], ids=["huge-window", "repeated-column", "year-past-int64"])
+    def test_outside_input_exits_one_with_one_error_line(self, data_csv, tmp_path, capsys,
+                                                          edit, flags, message):
+        # each used to end in a traceback, or, for the repeated mx column, in a fit
+        path = data_csv
+        if edit is not None:
+            path = tmp_path / "edited.csv"
+            path.write_text(edit(data_csv.read_text()))
+        argv = {"--input": path, "--ages": "60:63", "--years": "1990:2009",
+                "--out": tmp_path / "run", **dict(zip(flags[::2], flags[1::2]))}
+        code = run_cli("fit", "--model", "cbd", *(a for kv in argv.items() for a in kv))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        assert not (tmp_path / "run").exists()
 
     def test_nonconvergence_exit_code_still_writes(self, tmp_path):
         # exactly affine data sends sigma2 to its boundary; the likelihood
@@ -358,6 +381,27 @@ class TestForecastCommand:
         assert code == EXIT_ERROR
         assert message in capsys.readouterr().err
         assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize("model, window, key, shape", [
+        ("cbd", {"ages": [60, 63], "years": [1990, 100000000000]}, "kappa1", "[99999998011]"),
+        ("cbd", {"ages": [60, 100000000000], "years": [1990, 2009]},
+         "gamma3", "[99999999960]"),
+        ("cbd", {"ages": [60, 63], "years": [0, 10**20]}, "kappa1", f"[{10**20 + 1}]"),
+        ("mixed", {"ages": [60, 63], "years": [1990, 100000000000]}, "y", "[99999998011][4]"),
+        ("mixed", {"ages": [60, 100000000000], "years": [1990, 2009]},
+         "y", "[20][99999999941]"),
+    ], ids=["cbd-years", "cbd-ages", "cbd-past-2**63", "mixed-years", "mixed-ages"])
+    def test_window_longer_than_its_curves(self, fit_dir, cbd_fit_dir, tmp_path, model,
+                                           window, key, shape):
+        # the curves' lengths are checked before the window's axes are built;
+        # the axes came first, and 10**11 years asked numpy for 745 GiB
+        doc = json.loads(({"mixed": fit_dir, "cbd": cbd_fit_dir}[model] / "fit.json")
+                         .read_text())
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps({**doc, "window": window}))
+        with pytest.raises(ValueError,
+                           match=rf"^fit artifact {key} \[.*\] is not float{re.escape(shape)}$"):
+            artifacts.load_fit(path)
 
     @pytest.mark.parametrize("key, value", [
         ("x_bar", 0.0), ("x_bar", [1]), ("included", [1]), ("included", [0.5] * 23),

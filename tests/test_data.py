@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +101,11 @@ class TestParseHmd:
     @pytest.mark.parametrize("row, message", [
         ("1950 6x 0.1 0.2 0.3", "bad age field '6x'"),
         ("1950 60 0.1 n/a 0.3", "bad rate field 'n/a'"),
-    ], ids=["age", "rate"])
+        # a table holds int64 years and ages; these used to overflow uncaught
+        ("100000000000000000000000000000 60 0.1 0.2 0.3",
+         "bad year field '100000000000000000000000000000'"),
+        ("1950 9223372036854775808+ 0.1 0.2 0.3", r"bad age field '9223372036854775808\+'"),
+    ], ids=["age", "rate", "year-past-int64", "age-past-int64"])
     def test_bad_field_reports_its_line(self, row, message):
         text = f"Year Age Female Male Total\n1950 61 0.1 0.2 0.3\n{row}\n"
         with pytest.raises(ParseError, match=f"line 3: {message}"):
@@ -150,6 +155,32 @@ class TestParseCsv:
     def test_unknown_column(self):
         with pytest.raises(ParseError, match="unknown column"):
             parse_table("year,age,mx,extra\n2000,60,0.02,1\n", "csv")
+
+    @pytest.mark.parametrize("header, message", [
+        ("year,age,mx,mx", r"repeated column\(s\) \['mx'\]"),
+        ("year,age,mx,year", r"repeated column\(s\) \['year'\]"),
+        ("Year,age,mx,MX,year", r"repeated column\(s\) \['mx', 'year'\]"),
+        ("year,age,mx,qx", "one rate column, 'mx' or 'qx', not both"),
+    ], ids=["mx-twice", "year-twice", "case-folded", "mx-and-qx"])
+    def test_ambiguous_header(self, header, message):
+        # each used to parse: a repeated name read its first column and
+        # ignored the other, and mx silently won over qx
+        row = ",".join(["2000", "60"] + ["0.02"] * (header.count(",") - 1))
+        with pytest.raises(ParseError, match=f"line 1: {message}"):
+            parse_table(f"{header}\n{row}\n", "csv")
+
+    @pytest.mark.parametrize("row, value", [
+        ("100000000000000000000000000000,60,0.01", "100000000000000000000000000000"),
+        ("2000,-9223372036854775809,0.01", "-9223372036854775809"),
+    ], ids=["year", "age"])
+    def test_integer_past_int64_names_its_line(self, row, value):
+        # np.asarray(years, dtype=int) used to raise an uncaught OverflowError
+        with pytest.raises(ParseError,
+                           match=f"line 3: {value} is outside the 64-bit integer range"):
+            parse_table(f"year,age,mx\n2000,60,0.01\n{row}\n", "csv")
+        table = parse_table("year,age,mx\n9223372036854775807,-9223372036854775808,0.01\n",
+                            "csv")
+        assert table.lookup(2**63 - 1, -2**63) == 0
 
     def test_missing_rate_column(self):
         with pytest.raises(ParseError, match="mx"):
@@ -337,6 +368,28 @@ class TestBuildSurface:
             got = build_surface(table, (60, 62), (2000, 2002), clamp_q=clamp_q)
             assert got.q.tobytes() == want.tobytes()
 
+    def test_window_larger_than_its_table_is_not_built(self):
+        # 400,000 cells on a 6-row table: the window is walked to its first
+        # absent cell instead of being looked up whole (tens of MB at this size)
+        table = _table_from_m([60, 61], [2000, 2001, 2002], [[0.02, 0.03]] * 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MissingCellError, match=r"^no data for \(year=2003, age=60\)$"):
+                build_surface(table, (60, 61), (2000, 201999))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+    @pytest.mark.parametrize("window", [build_surface, window_counts])
+    @pytest.mark.parametrize("ages", [(60, 10**11), (60, 10**20)], ids=["1e11", "1e20"])
+    def test_huge_window_names_its_first_absent_cell(self, window, ages):
+        # the axes were arrays: 10**11 ages asked numpy for 745 GiB, and a
+        # span past 2**63 for more than it can index
+        table = parse_table("year,age,mx,deaths,exposure\n2000,60,0.02,200,10000\n", "csv")
+        with pytest.raises(MissingCellError, match=r"^no data for \(year=2000, age=61\)$"):
+            window(table, ages, (2000, 2000))
+
     @pytest.mark.parametrize("clamp_q", [0.0, -0.5, math.nan, 1.0])
     def test_clamp_q_must_lie_inside_the_unit_interval(self, clamp_q):
         # an invalid clamp used to surface as "rate q >= 1" at the q = 0 cell
@@ -405,6 +458,23 @@ class TestWindowCounts:
         surface = build_surface(table, (60, 61), (1999, 2001))
         assert surface.counts[0].tobytes() == D.tobytes()
         assert surface.counts[1].tobytes() == E.tobytes()
+
+    def test_surface_looks_up_and_checks_its_window_once(self, monkeypatch):
+        # build_surface used to repeat both through window_counts, and
+        # MortalitySurface checked the counts a second time
+        import mortcast.data as data
+
+        calls = {"_cell_rows": 0, "checked_counts": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(data, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(data, name, counting)
+        text = "year,age,mx,deaths,exposure\n" + "".join(
+            f"{t},{x},{(t - 1990 + x) / 1e4!r},{t - 1990 + x},10000\n"
+            for t in range(1998, 2003) for x in range(59, 63))
+        build_surface(parse_table(text, "csv"), (60, 61), (1999, 2001))
+        assert calls == {"_cell_rows": 1, "checked_counts": 1}
 
     def test_surface_checks_rates_before_counts(self):
         # a cell with both a zero rate and a zero exposure is named as a rate
