@@ -404,8 +404,7 @@ def build_surface(
     """
     if clamp_q is not None and not 0.0 < clamp_q < 1.0:
         raise ValueError(f"clamp_q must lie in (0, 1), got {clamp_q!r}")
-    ages, years, rows = _cell_rows(table, ages, years,
-                                   lambda t, x: _check_cell(table, t, x, clamp_q))
+    ages, years, rows = _cell_rows(table, ages, years)
     r = table.rates[rows]
     central = table.rate_kind == "central"
     ok_m = np.isfinite(r) & (r >= 0) if central else np.True_
@@ -413,9 +412,18 @@ def build_surface(
     if clamp_q is not None:
         q = np.where(q <= 0.0, clamp_q, q)
     bad = (rows < 0) | ~ok_m | ~np.isfinite(q) | (q <= 0.0) | (q >= 1.0)
-    if bad.any():  # the first bad cell in (year, age) order raises
+    if bad.any():
+        # redo the first bad cell in (year, age) order alone, so that it
+        # raises exactly the error a cell-by-cell pass would
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        _check_cell(table, int(years[i]), int(ages[j]), clamp_q)
+        t, x = int(years[i]), int(ages[j])
+        r = table.rates[table.lookup(t, x)]
+        qx = central_to_initial(r) if central else float(r)
+        if np.isnan(qx):
+            raise NonFiniteLogitError("rate q is NaN", year=t, age=x)
+        if qx <= 0.0 and clamp_q is None:
+            raise NonFiniteLogitError("rate q <= 0", year=t, age=x)
+        raise NonFiniteLogitError("rate q >= 1", year=t, age=x)
     counts = None if table.counts is None else tuple(c[rows] for c in table.counts)
     return MortalitySurface(ages, years, q, counts)
 
@@ -461,30 +469,20 @@ def synthesize_counts(q) -> tuple[np.ndarray, np.ndarray]:
     return E * initial_to_central(q), E
 
 
-def _cell_rows(table: RawMortalityTable, ages, years, check_cell=None):
+def _cell_rows(table: RawMortalityTable, ages, years):
     """The window's (ages, years) axes and its (years x ages) grid of the
-    table's row indices, -1 where a cell is absent. A window of more cells than
-    rows is walked through ``check_cell`` (default: presence) to its first bad cell."""
+    table's row indices, -1 where a cell is absent."""
     ages, years = _axis(ages, "ages"), _axis(years, "years")
-    if (ages.stop - ages.start) * (years.stop - years.start) > len(table.years):
-        for t in years:
-            for x in ages:
-                (check_cell or table.lookup)(t, x)
+    n = len(table.years)
+    if (ages.stop - ages.start) * (years.stop - years.start) > n:
+        # such a window lacks a cell among its first n + 1 in (year, age)
+        # order, so its first bad cell lies in this leading part of at most
+        # 2n + 1 cells, which still lacks one
+        ages = ages[:n + 1]
+        years = years[:n // len(ages) + 1]
     get = table._index.get
     rows = [[get((t, x), -1) for x in ages] for t in years]
     return np.array(ages), np.array(years), np.array(rows)
-
-
-def _check_cell(table: RawMortalityTable, t: int, x: int, clamp_q) -> None:
-    # raise what a cell-by-cell pass raises at (year t, age x), if anything
-    r = table.rates[table.lookup(t, x)]
-    qx = central_to_initial(r) if table.rate_kind == "central" else float(r)
-    if np.isnan(qx):
-        raise NonFiniteLogitError("rate q is NaN", year=t, age=x)
-    if qx <= 0.0 and clamp_q is None:
-        raise NonFiniteLogitError("rate q <= 0", year=t, age=x)
-    if qx >= 1.0:
-        raise NonFiniteLogitError("rate q >= 1", year=t, age=x)
 
 
 def split_train_test(

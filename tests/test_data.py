@@ -369,8 +369,8 @@ class TestBuildSurface:
             assert got.q.tobytes() == want.tobytes()
 
     def test_window_larger_than_its_table_is_not_built(self):
-        # 400,000 cells on a 6-row table: the window is walked to its first
-        # absent cell instead of being looked up whole (tens of MB at this size)
+        # 400,000 cells on a 6-row table: only the leading part that holds the
+        # first absent cell is looked up, not the whole window (tens of MB)
         table = _table_from_m([60, 61], [2000, 2001, 2002], [[0.02, 0.03]] * 3)
         tracemalloc.start()
         try:
