@@ -12,6 +12,7 @@ and does not read them. Floats serialize with round-trip precision.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -90,8 +91,8 @@ def _read(doc, key, *shape, kind=float):
 
 
 def _fits(value, shape, types) -> bool:
-    if not shape:
-        return type(value) in types
+    if not shape:  # JSON's NaN and Infinity parse as floats, and no fit holds them
+        return type(value) in types and (type(value) is not float or math.isfinite(value))
     return (type(value) is list and 0 < len(value) == (shape[0] or len(value))
             and all(_fits(v, shape[1:], types) for v in value))
 

@@ -400,30 +400,29 @@ def build_surface(
     MissingCellError
         A requested cell is not in the table.
     NonFiniteLogitError
-        A cell has a NaN q, q >= 1, or q <= 0 with clamping off.
+        A cell, which it names, has a central rate that is not finite and
+        >= 0, a NaN q, q >= 1, or q <= 0 with clamping off.
     """
     if clamp_q is not None and not 0.0 < clamp_q < 1.0:
         raise ValueError(f"clamp_q must lie in (0, 1), got {clamp_q!r}")
     ages, years, rows = _cell_rows(table, ages, years)
     r = table.rates[rows]
     central = table.rate_kind == "central"
-    ok_m = np.isfinite(r) & (r >= 0) if central else np.True_
+    ok_m = (np.isfinite(r) & (r >= 0)) | (not central)
     q = central_to_initial(np.where(ok_m, r, 0.0)) if central else r
     if clamp_q is not None:
         q = np.where(q <= 0.0, clamp_q, q)
-    bad = (rows < 0) | ~ok_m | ~np.isfinite(q) | (q <= 0.0) | (q >= 1.0)
+    # the first bad cell in (year, age) order raises its first failed check
+    checks = {"absent": rows < 0, "central rate is not finite and >= 0": ~ok_m,
+              "rate q is NaN": np.isnan(q), "rate q <= 0": q <= 0.0, "rate q >= 1": q >= 1.0}
+    bad = np.logical_or.reduce(list(checks.values()))
     if bad.any():
-        # redo the first bad cell in (year, age) order alone, so that it
-        # raises exactly the error a cell-by-cell pass would
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         t, x = int(years[i]), int(ages[j])
-        r = table.rates[table.lookup(t, x)]
-        qx = central_to_initial(r) if central else float(r)
-        if np.isnan(qx):
-            raise NonFiniteLogitError("rate q is NaN", year=t, age=x)
-        if qx <= 0.0 and clamp_q is None:
-            raise NonFiniteLogitError("rate q <= 0", year=t, age=x)
-        raise NonFiniteLogitError("rate q >= 1", year=t, age=x)
+        message = next(m for m, mask in checks.items() if mask[i, j])
+        if message == "absent":
+            table.lookup(t, x)  # raises MissingCellError
+        raise NonFiniteLogitError(message, year=t, age=x)
     counts = None if table.counts is None else tuple(c[rows] for c in table.counts)
     return MortalitySurface(ages, years, q, counts)
 

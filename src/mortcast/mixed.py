@@ -121,6 +121,10 @@ def _as_stacked(y, design: DesignSet) -> np.ndarray:
         y = stack_grid(y)
     if y.shape != (N,):
         raise ValueError(f"expected {N} stacked observations, got shape {y.shape}")
+    bad = ~np.isfinite(unstack_vector(y, N // design.n_ages, design.n_ages))
+    if bad.any():  # the first non-finite cell in (year, age) order
+        t, x = np.argwhere(bad)[0] + (design.train_years[0], design.ages[0])
+        raise ValueError(f"y is not finite at (year={t}, age={x})")
     return y
 
 

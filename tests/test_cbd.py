@@ -151,6 +151,25 @@ class TestPoissonLoglik:
                 cbd_poisson_loglik(*true_curves(ages, years), ages, years, D, E)
 
 
+@pytest.mark.parametrize("ages, years, call, message", [
+    ((60, 62), (2000, 2002), "loglik", "^non-finite linear predictor$"),
+    ((60, 61), (2000, 2001), "fit", "^no cohort reaches 3 observed cells; grid too small$"),
+    ((60, 62), (2000, 2002), "estimate_rw",
+     "^fitted cohort series too short for drift estimation$"),
+], ids=["loglik-nan-kappa1", "fit-no-cohort", "rw-one-cohort"])
+def test_input_checks_name_their_input(ages, years, call, message):
+    # 3 x 3 leaves one cohort with 3 cells, the fitted one; 2 x 2 leaves none
+    ages, years = np.arange(ages[0], ages[1] + 1), np.arange(years[0], years[1] + 1)
+    kappa1, kappa2, gamma3 = true_curves(ages, years)
+    D, E = exact_counts(ages, years, kappa1, kappa2, gamma3)
+    run = {"loglik": lambda: cbd_poisson_loglik(np.where(years == 2001, np.nan, kappa1),
+                                                kappa2, gamma3, ages, years, D, E),
+           "fit": lambda: fit_cbd(D, E, ages, years),
+           "estimate_rw": lambda: estimate_rw(fit_cbd(D, E, ages, years))}[call]
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
 def _ulps(a, b):
     """|a - b| in units of the last place of the larger of the two."""
     return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
@@ -301,6 +320,20 @@ class TestFitCbd:
             fit_cbd(np.zeros((2, 2)), np.ones((3, 2)), [60, 61], [2000, 2001])
         with pytest.raises(ValueError):
             fit_cbd(np.zeros((2, 2)), np.zeros((2, 2)), [60, 61], [2000, 2001])
+
+    def test_sweep_whose_every_damped_try_fails_stops_unconverged(self, monkeypatch):
+        # the stop after a sweep's 12 damped tries all fail the likelihood check
+        calls = []
+
+        def failing(*args, _original=cbd._poisson_loglik):
+            calls.append(args)
+            return _original(*args) if len(calls) == 1 else -math.inf
+
+        monkeypatch.setattr(cbd, "_poisson_loglik", failing)
+        ages, years = np.arange(60, 66), np.arange(2000, 2010)
+        f = fit_cbd(*exact_counts(ages, years, *true_curves(ages, years)), ages, years)
+        assert (f.converged, f.n_sweeps, len(calls)) == (False, 1, 13)
+        assert f.loglik_trace.size == 1 and f.loglik == f.loglik_trace[0]
 
     def test_underflowing_trial_point_warns_nothing(self):
         # on this sparse grid a damped-away trial point underflows a cell's

@@ -181,7 +181,10 @@ class TestFitCommand:
          (), "error: line 1: repeated column(s) ['mx']"),
         (lambda text: text + "100000000000000000000000000000,60,0.01\n", (),
          "is outside the 64-bit integer range"),
-    ], ids=["huge-window", "repeated-column", "year-past-int64"])
+        # a bad mx used to exit with "central rate must be finite", naming no cell
+        (lambda text: re.sub(r"(?m)^1995,61,.*$", "1995,61,nan", text), (),
+         "error: central rate is not finite and >= 0 at (year=1995, age=61)\n"),
+    ], ids=["huge-window", "repeated-column", "year-past-int64", "nan-mx"])
     def test_outside_input_exits_one_with_one_error_line(self, data_csv, tmp_path, capsys,
                                                           edit, flags, message):
         # each used to end in a traceback, or, for the repeated mx column, in a fit
@@ -344,10 +347,16 @@ class TestForecastCommand:
         (lambda doc, cfg: {**doc, "params": {**doc["params"], "h1": "1"}},
          "h1 '1' is not float"),
         (lambda doc, cfg: {**doc, "y": doc["y"][1:]}, "is not float[20][4]"),
+        # json reads NaN and Infinity as floats: these loaded, and the forecast
+        # exited with "non-finite forecast mean or variance", naming no key
+        (lambda doc, cfg: {**doc, "y": [[math.nan, *doc["y"][0][1:]], *doc["y"][1:]]},
+         "error: fit artifact y [[nan, "),
+        (lambda doc, cfg: {**doc, "y": [[-math.inf, *doc["y"][0][1:]], *doc["y"][1:]]},
+         "error: fit artifact y [[-inf, "),
     ], ids=["run-config", "no-params", "no-sigma2", "no-years", "schema-2",
             "schema-true", "schema-float", "list",
             "window-int", "params-int", "n_iter-null", "n_iter-bool", "h1-str",
-            "y-short"])
+            "y-short", "y-nan", "y-minus-infinity"])
     def test_malformed_artifact_exits_one(self, fit_dir, tmp_path, capsys,
                                           edit, message):
         doc = json.loads((fit_dir / "fit.json").read_text())
@@ -369,8 +378,11 @@ class TestForecastCommand:
         ("loglik_trace", [], "loglik_trace [] is not float[1+]"),
         ("window", {"ages": [60, 63], "years": [2009, 1990]},
          "years range 2009:1990 is reversed"),
+        ("kappa1", [math.nan] + [-3.0] * 19,
+         "error: fit artifact kappa1 [nan, -3.0, -3.0, -3.0, -3.0, -3.0, ...] is not float[20]"),
+        ("loglik", math.inf, "error: fit artifact loglik inf is not float"),
     ], ids=["n_sweeps-null", "kappa1-object", "residuals-int", "gamma3-int",
-            "converged-int", "trace-empty", "window-reversed"])
+            "converged-int", "trace-empty", "window-reversed", "kappa1-nan", "loglik-infinity"])
     def test_malformed_cbd_artifact_exits_one(self, cbd_fit_dir, tmp_path, capsys,
                                               key, value, message):
         doc = json.loads((cbd_fit_dir / "fit.json").read_text())

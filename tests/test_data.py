@@ -182,6 +182,15 @@ class TestParseCsv:
                             "csv")
         assert table.lookup(2**63 - 1, -2**63) == 0
 
+    def test_blank_and_whitespace_rows_are_skipped(self):
+        text = "year,age,mx\n2000,60,0.02\n\n , ,\t\n\t\n2000,61,0.03\n"
+        table = parse_table(text, "csv")
+        assert table.years.tolist() == [2000, 2000] and table.ages.tolist() == [60, 61]
+        assert table.rates.tolist() == [0.02, 0.03]
+        # a skipped row still counts toward the line numbers
+        with pytest.raises(ParseError, match="^line 4: "):
+            parse_table("year,age,mx\n\n  \n2000,60,abc\n", "csv")
+
     def test_missing_rate_column(self):
         with pytest.raises(ParseError, match="mx"):
             parse_table("year,age,rate\n2000,60,0.02\n", "csv")
@@ -279,6 +288,8 @@ def _cell_by_cell_q(table, ages, years, clamp_q):
     for i, t in enumerate(years):
         for j, x in enumerate(ages):
             r = table.rates[table.lookup(t, x)]
+            if table.rate_kind == "central" and not (math.isfinite(r) and r >= 0):
+                raise NonFiniteLogitError("central rate is not finite and >= 0", year=t, age=x)
             qx = central_to_initial(r) if table.rate_kind == "central" else float(r)
             if math.isnan(qx):
                 raise NonFiniteLogitError("rate q is NaN", year=t, age=x)
@@ -328,6 +339,33 @@ class TestBuildSurface:
         with pytest.raises(NonFiniteLogitError, match="NaN") as err:
             build_surface(table, (60, 61), (2000, 2000), clamp_q=1e-6)
         assert (err.value.year, err.value.age) == (2000, 61)
+
+    @pytest.mark.parametrize("clamp_q", [None, 1e-6])
+    @pytest.mark.parametrize("mx", [math.nan, math.inf, -0.1], ids=["nan", "inf", "negative"])
+    def test_bad_central_rate_is_named(self, mx, clamp_q):
+        # it used to raise central_to_initial's bare ValueError, naming no cell
+        table = _table_from_m([60, 61, 62], [2000, 2001],
+                              [[0.02, 0.03, 0.04], [0.021, mx, math.nan]])
+        with pytest.raises(NonFiniteLogitError, match=r"^central rate is not finite and >= 0 "
+                                                      r"at \(year=2001, age=61\)$") as err:
+            build_surface(table, (60, 62), (2000, 2001), clamp_q=clamp_q)
+        assert (err.value.year, err.value.age) == (2001, 61)
+
+    def test_checks_a_window_in_one_pass(self, monkeypatch):
+        # the first bad cell used to be looked up and converted a second time
+        import mortcast.data as data
+
+        calls = {"central_to_initial": 0, "lookup": 0}
+        for owner, name in ((data, "central_to_initial"), (RawMortalityTable, "lookup")):
+            def counting(*args, _name=name, _original=getattr(owner, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(owner, name, counting)
+        table = _table_from_m([60, 61, 62], [2000, 2001],
+                              [[0.02, math.nan, 0.04], [0.021, 0.031, 0.041]])
+        with pytest.raises(NonFiniteLogitError, match=r"\(year=2000, age=61\)"):
+            build_surface(table, (60, 61), (2000, 2001))
+        assert calls == {"central_to_initial": 1, "lookup": 0}
 
     def test_qx_table_skips_conversion(self):
         table = parse_table("year,age,qx\n2000,60,0.25\n", "csv")
@@ -547,6 +585,20 @@ class TestSurfaceValidation:
         D, E = synthesize_counts(small_surface.q)
         assert small_surface.counts[0].tobytes() == D.tobytes()
         assert small_surface.counts[1].tobytes() == E.tobytes()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: initial_to_central(-0.1), ValueError, r"^initial rate must lie in \[0, 1\)$"),
+    (lambda: initial_to_central([0.5, 1.0]), ValueError, r"^initial rate must lie in \[0, 1\)$"),
+    (lambda: RawMortalityTable([2000], [60], [0.02], rate_kind="crude"), ValueError,
+     "^unknown rate_kind 'crude'$"),
+    (lambda: RawMortalityTable([], [], []), EmptyInputError, "^table has no rows$"),
+    (lambda: MortalitySurface([60, 61], [2000], [[0.02, 0.03], [0.02, 0.03]]), ValueError,
+     r"^grid shape \(2, 2\) does not match 1 years x 2 ages$"),
+], ids=["initial-negative", "initial-one", "rate-kind", "no-rows", "grid-shape"])
+def test_input_checks_name_their_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestSplit:

@@ -33,6 +33,17 @@ class TestKernelParams:
             KernelParams.from_array(vals)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: KernelParams.from_array(np.ones(6)), r"^expected 7 parameters, got shape \(6,\)$"),
+    (lambda: KernelParams.from_array(np.ones((7, 1))),
+     r"^expected 7 parameters, got shape \(7, 1\)$"),
+    (lambda: build_design([60, 61], [2000, 2001], horizon=-1), "^horizon must be >= 0$"),
+], ids=["six-params", "column-params", "negative-horizon"])
+def test_input_checks_name_their_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestBuildDesign:
     def test_two_year_three_age_system(self):
         # the 6-row layout with three ages and two years, cohort dummies

@@ -209,6 +209,35 @@ class TestFit:
         assert str(err.value) == "all restarts failed: " + "; ".join(
             f"run {run}: synthetic failure" for run in range(3))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda y, d: fit(y[:, :2], d, restarts=1),
+         r"^grid shape \(10, 2\) does not match design \(10 years x 3 ages\)$"),
+        (lambda y, d: fit(stack_grid(y)[:-1], d, restarts=1),
+         r"^expected 30 stacked observations, got shape \(29,\)$"),
+        (lambda y, d: fit(y, build_design([60, 61, 62], range(2000, 2010), horizon=2)),
+         r"^fit expects a training design \(horizon 0\)$"),
+        (lambda y, d: fit(y, d, free=np.ones(6, dtype=bool)), "^free mask must have 7 entries$"),
+    ], ids=["grid-shape", "stacked-length", "horizon-design", "free-mask"])
+    def test_input_checks_name_their_input(self, rng, call, message):
+        d = build_design([60, 61, 62], range(2000, 2010))
+        with pytest.raises(ValueError, match=message):
+            call(rng.normal(size=(10, 3)) - 3.0, d)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", [
+        lambda y, d, p: fit(y, d, restarts=1),
+        lambda y, d, p: fit(y, d, init=p, restarts=1),
+        lambda y, d, p: log_likelihood(stack_grid(y), [-3.0, 0.0], p, d),
+    ], ids=["fit", "fit-init", "log_likelihood"])
+    def test_non_finite_y_names_its_cell(self, rng, call, value):
+        # it used to blame h1 (fit), fail every restart (fit with init) or
+        # return nan (log_likelihood)
+        d = build_design([60, 61, 62], range(2000, 2010))
+        y = rng.normal(size=(10, 3)) - 3.0
+        y[4, 1] = y[7, 0] = value  # (2007, 60) is first in age-major order only
+        with pytest.raises(ValueError, match=r"^y is not finite at \(year=2004, age=61\)$"):
+            call(y, d, random_params(rng))
+
 
 class TestBlup:
     def test_zero_residual_gives_zero_effects(self, rng):
@@ -390,6 +419,20 @@ class TestForecast:
                 with pytest.raises(ValueError, match="non-finite"):
                     Forecast(ages=np.arange(60, 63), years=np.arange(2000, 2002),
                              **grids)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g: Forecast(np.arange(60, 63), np.arange(2000, 2003), g, g),
+         "^mean grid shape does not match axes$"),
+        (lambda g: Forecast(np.arange(60, 63), np.arange(2000, 2002), g, g.T),
+         "^variance grid shape does not match mean$"),
+        (lambda g: Forecast(np.arange(60, 63), np.arange(2000, 2002), g, -1e-3 * g),
+         "^negative forecast variance$"),
+        (lambda g: Forecast(np.arange(60, 63), np.arange(2000, 2002), g, g).year_slice(2002),
+         "^year 2002 not covered by this forecast$"),
+    ], ids=["mean-shape", "variance-shape", "negative-variance", "year-outside"])
+    def test_forecast_checks_name_their_input(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(np.ones((2, 3)))
 
     def test_variance_floor_is_noise(self, rng):
         d = build_design([60, 61, 62], range(2000, 2010))
